@@ -36,9 +36,9 @@ def run_for_alpha(lineitem, alpha: float, params: CostParameters) -> None:
     values = lineitem.distinct_values("L_PARTKEY")
     sample = random.Random(1).sample(values, min(50, len(values)))
     start = time.perf_counter()
-    # batched=False: this prints *per-query* latency, which batch-level
-    # deduplication of repeated bin-pair retrievals would understate.
-    traces = engine.execute_workload(sample, batched=False)
+    # One cloud request per query, since this prints *per-query* latency.
+    # Repeated bin-pair retrievals are interned by the cloud either way.
+    traces = engine.execute_workload(sample, placement="sequential")
     elapsed = time.perf_counter() - start
 
     avg_rows = sum(t.total_rows_returned for t in traces) / len(traces)

@@ -582,14 +582,10 @@ class CloudServer:
         """Serve the sensitive half; returns (matches, rows examined).
 
         Prefers the tag index, then the bin-addressed store, then the linear
-        scan.  All three paths run the scheme's *batched* hot loop when it
-        has one (``supports_batch``): ``indexed_search`` probes the index
-        once for the whole token list via ``probe_many``, and ``search``
-        over a bin slice is one vectorized pass (e.g. SSE trial decryption
-        with per-token HMAC templates) instead of a per-(row, token) scalar
-        loop.  The batch paths are observably identical to the scalar ones —
-        same matches, same probe/rows-examined counters — so none of this is
-        visible to the adversary or the parity harnesses.
+        scan.  ``indexed_search`` probes the index once for the whole token
+        list via ``probe_many``, and ``search`` over a bin slice is one
+        batched pass (e.g. SSE trial decryption with per-token HMAC
+        templates).
 
         All three paths return the same rows (parity is covered by tests);
         only the number of rows examined differs.

@@ -75,8 +75,9 @@ class _PartitionedEngineBase:
         #: interned requests, decrypted bins — are read-and-filled by
         #: queries and *cleared* by inserts; without this lock a mid-query
         #: insert from a second session can clear a cache the query is
-        #: iterating.  Re-entrant: workloads nest per-query paths, and the
-        #: scheme/metadata objects are owned by exactly one engine.
+        #: iterating.  Re-entrant: the query pipeline nests the locked
+        #: rewrite helpers, and the scheme/metadata objects are owned by
+        #: exactly one engine.
         self._lock = threading.RLock()
         self._outsourced = False
         self._fake_rid_counter = itertools.count(start=-1, step=-1)
@@ -140,7 +141,7 @@ class _PartitionedEngineBase:
         sensitive_rows = self.scheme.decrypt_rows(response.encrypted_rows)
         return merge_results(query, sensitive_rows, response.non_sensitive_rows)
 
-    # -- trace construction (shared by sequential and batched execution) ---------
+    # -- trace construction ----------------------------------------------------------
     @staticmethod
     def _empty_trace(query: SelectionQuery) -> ExecutionTrace:
         """The trace of a query whose value retrieves nothing (rule 'none')."""
@@ -505,42 +506,38 @@ class QueryBinningEngine(_PartitionedEngineBase):
 
     def query_with_trace(self, value: object) -> Tuple[List[Row], ExecutionTrace]:
         """Answer a query and return the execution trace for cost accounting."""
-        with self._lock:
-            self._require_setup()
-            assert self.retriever is not None
-            query = SelectionQuery(self.attribute, value)
-            decision = self.retriever.retrieve(value)
-
-            if not decision.retrieves_anything:
-                return [], self._empty_trace(query)
-
-            response = self.cloud.serve(self.request_for_decision(decision))
-            sensitive_rows = self._decrypt_bin(
-                decision.sensitive_bin_index, response.encrypted_rows
-            )
-            rows = merge_results(query, sensitive_rows, response.non_sensitive_rows)
-            return rows, self._trace_for(query, decision, response, len(rows))
+        return self._execute([value], "sequential")[0]
 
     def _decrypt_bin(
-        self, sensitive_bin_index: Optional[int], encrypted_rows: Sequence[EncryptedRow]
+        self,
+        decrypted: Dict[int, List[Row]],
+        sensitive_bin_index: Optional[int],
+        encrypted_rows: Sequence[EncryptedRow],
     ) -> List[Row]:
-        """Decrypt one retrieval's rows through the per-bin plaintext cache.
+        """Decrypt one retrieval's rows, at most once per workload and bin.
 
-        A sensitive bin's (padded) ciphertext set is fixed between sensitive
-        inserts, so its decryption is computed once and reused by every
-        later retrieval of the bin, whichever placement served it.
+        Deduplicated responses share their encrypted row list, so the
+        workload memo ``decrypted`` (keyed by list identity) decrypts each
+        retrieval once.  A sensitive bin's (padded) ciphertext set is fixed
+        between sensitive inserts, so the per-bin plaintext cache carries
+        its decryption across workloads, whichever placement served it.
         """
-        if sensitive_bin_index is None:
-            return self.scheme.decrypt_rows(encrypted_rows)
-        rows = self._decrypted_bin_cache.get(sensitive_bin_index)
+        key = id(encrypted_rows)
+        rows = decrypted.get(key)
+        if rows is not None:
+            return rows
+        if sensitive_bin_index is not None:
+            rows = self._decrypted_bin_cache.get(sensitive_bin_index)
         if rows is None:
             rows = self.scheme.decrypt_rows(encrypted_rows)
-            self._fifo_put(
-                self._decrypted_bin_cache,
-                sensitive_bin_index,
-                rows,
-                self._plaintext_cache_bins,
-            )
+            if sensitive_bin_index is not None:
+                self._fifo_put(
+                    self._decrypted_bin_cache,
+                    sensitive_bin_index,
+                    rows,
+                    self._plaintext_cache_bins,
+                )
+        decrypted[key] = rows
         return rows
 
     def tokens_for_decision(self, decision: RetrievalDecision) -> List:
@@ -611,8 +608,8 @@ class QueryBinningEngine(_PartitionedEngineBase):
 
         Returns the request list plus, per input value, the retrieval
         decision (``None`` when the value retrieves nothing — such values
-        produce no request).  Shared by the batched ``execute_workload`` path
-        and the benchmark harness so both send the same request stream.
+        produce no request).  Every query runs through it, whatever its
+        placement, and the benchmark harness sends the same request stream.
         Requests are interned per bin pair (:meth:`request_for_decision`),
         so a steady-state workload rewrite is a decision memo probe plus a
         request memo probe per query.
@@ -631,23 +628,22 @@ class QueryBinningEngine(_PartitionedEngineBase):
             return requests, slots
 
     def execute_workload(
-        self,
-        values: Iterable[object],
-        batched: bool = True,
-        placement: Optional[str] = None,
+        self, values: Iterable[object], placement: str = "batched"
     ) -> List[ExecutionTrace]:
         """Run a sequence of selection queries; returns their traces.
 
-        ``placement`` selects the execution strategy (it supersedes the
-        legacy ``batched`` flag, which maps to ``"batched"``/``"sequential"``
-        when ``placement`` is omitted):
+        Every placement runs the same pipeline: one rewrite
+        (:meth:`build_requests`), one fetch of the cloud's responses, and
+        one loop that decrypts, merges, and builds the traces.
+        ``placement`` decides only how the responses are fetched:
 
         ``"sequential"``
-            one :meth:`CloudServer.process_request` per query — the
-            reference semantics; use it when timing individual queries.
+            one :meth:`CloudServer.serve` call per query, the path a single
+            :meth:`query` takes; use it when timing individual queries.
         ``"batched"``
-            the whole workload through :meth:`CloudServer.process_batch`,
-            computing each distinct bin-pair retrieval once.
+            the whole workload through one :meth:`CloudServer.process_batch`
+            call, whose query ids (and view order) stay contiguous even when
+            other sessions share the cloud.
         ``"sharded"``
             the workload fanned out across the attached :class:`MultiCloud`:
             request halves are routed to non-colluding members by the
@@ -655,110 +651,54 @@ class QueryBinningEngine(_PartitionedEngineBase):
             decryption of finished members overlaps the remaining members'
             searches.
 
-        Traces, per-query results, adversarial views, and statistics are
-        strategy-invariant (the parity suite pins this); only wall-clock
+        The cloud interns retrievals for every placement, so each distinct
+        bin-pair retrieval is computed once whichever is chosen.  Traces,
+        per-query results, adversarial views, and statistics are
+        placement-invariant (the parity suite pins this); only wall-clock
         work placement differs.  Sharded execution contacts two servers per
         query, so each trace carries one extra round-trip latency in
         ``transfer_seconds`` — tuple transfer counts are identical.
         """
-        return [trace for _rows, trace in self._run_workload(values, batched, placement)]
+        return [trace for _rows, trace in self._execute(values, placement)]
 
     def execute_workload_with_rows(
-        self,
-        values: Iterable[object],
-        batched: bool = True,
-        placement: Optional[str] = None,
+        self, values: Iterable[object], placement: str = "batched"
     ) -> List[Tuple[List[Row], ExecutionTrace]]:
         """Like :meth:`execute_workload`, also returning each query's rows.
 
         The parity test harness uses this to assert result equality across
         placements without issuing extra (view-recording) queries.
         """
-        return self._run_workload(values, batched, placement)
+        return self._execute(values, placement)
 
-    def _run_workload(
-        self,
-        values: Iterable[object],
-        batched: bool,
-        placement: Optional[str],
+    def _execute(
+        self, values: Iterable[object], placement: str
     ) -> List[Tuple[List[Row], ExecutionTrace]]:
-        with self._lock:
-            return self._run_workload_locked(values, batched, placement)
-
-    def _run_workload_locked(
-        self,
-        values: Iterable[object],
-        batched: bool,
-        placement: Optional[str],
-    ) -> List[Tuple[List[Row], ExecutionTrace]]:
-        if placement is None:
-            placement = "batched" if batched else "sequential"
-        if placement == "sequential":
-            return [self.query_with_trace(value) for value in values]
-        if placement not in ("batched", "sharded"):
+        """The one query pipeline: rewrite, fetch, then decrypt/merge/trace."""
+        if placement not in ("sequential", "batched", "sharded"):
             raise ConfigurationError(
                 f"unknown placement {placement!r}; choose from "
                 "'sequential', 'batched', 'sharded'"
             )
-        values = list(values)
-        requests, slots = self.build_requests(values)
-        decrypted_cache: Dict[int, List[Row]] = {}
-        if placement == "sharded":
-            if self.multi_cloud is None or self.shard_router is None:
-                raise ConfigurationError(
-                    "sharded placement requires a MultiCloud attached at "
-                    "construction (and setup() run since)"
-                )
+        with self._lock:
+            values = list(values)
+            requests, slots = self.build_requests(values)
+            decrypted: Dict[int, List[Row]] = {}
+            responses = iter(self._fetch(placement, requests, decrypted))
 
-            def decrypt_early(request: BatchRequest, response: QueryResponse) -> None:
-                # Runs in the coordinating thread as each member completes,
-                # overlapping owner-side decryption with the searches still
-                # in flight on other members.  Keyed by list identity so
-                # deduplicated retrievals decrypt once, exactly as below;
-                # routed through the per-bin plaintext cache so warm bins
-                # skip decryption entirely.  Under member failure the fleet
-                # invokes this exactly once per half — for the replica's
-                # response, never the crashed attempt's — and a replica's
-                # slice holds the same ciphertexts as the primary's, so the
-                # per-bin plaintext cache stays placement-agnostic: a bin
-                # decrypted from a replica serves later primary retrievals
-                # and vice versa.
-                if response.encrypted_rows:
-                    cache_key = id(response.encrypted_rows)
-                    if cache_key not in decrypted_cache:
-                        decrypted_cache[cache_key] = self._decrypt_bin(
-                            request.sensitive_bin_index, response.encrypted_rows
-                        )
-
-            responses = self.multi_cloud.process_batch(
-                requests,
-                self.shard_router,
-                max_workers=self.shard_max_workers,
-                response_consumer=decrypt_early,
-            )
-        else:
-            responses = self.cloud.process_batch(requests)
-
-        results: List[Tuple[List[Row], ExecutionTrace]] = []
-        response_index = 0
-        # Per-workload grouped-bin memo: a hot bin's rows are indexed by
-        # value once, so the per-query merge is two dict probes + a union
-        # over the matching rows instead of a linear rescan of both bins
-        # (the owner-side hot loop under skewed workloads).  Keyed by *bin
-        # index*: a bin's contents are fixed for the duration of a workload
-        # run, and many distinct bin *pairs* share a half — keying by
-        # response row list would re-group a hot non-sensitive bin once per
-        # pair it appears in.  Grouping costs about two linear scans, so a
-        # bin is only grouped when the workload lands on it often enough to
-        # amortise that (cold-tail singletons keep the plain scan).  Part of
-        # the batch pipeline: ``use_batch=False`` keeps the per-query
-        # ``merge_results`` rescan so the scalar reference path stays the
-        # unmodified pre-vectorization pipeline end to end (parity baselines
-        # and the benchmark's scalar side both rely on that).
-        use_grouped_merge = self.scheme.use_batch
-        grouped_cache: Dict[object, Dict[object, List[Row]]] = {}
-        half_uses: Dict[object, int] = {}
-        if use_grouped_merge:
+            # Per-workload grouped-bin memo: a hot bin's rows are indexed by
+            # value once, so the per-query merge is two dict probes + a union
+            # over the matching rows instead of a linear rescan of both bins
+            # (the owner-side hot loop under skewed workloads).  Keyed by
+            # *bin index*: a bin's contents are fixed for the duration of a
+            # workload run, and many distinct bin *pairs* share a half —
+            # keying by response row list would re-group a hot
+            # non-sensitive bin once per pair it appears in.  Grouping costs
+            # about two linear scans, so a bin is only grouped when the
+            # workload lands on it often enough to amortise that (cold-tail
+            # singletons and single queries keep the plain scan).
+            grouped_cache: Dict[object, Dict[object, List[Row]]] = {}
+            half_uses: Dict[object, int] = {}
             for decision in slots:
                 if decision is None:
                     continue
@@ -768,37 +708,29 @@ class QueryBinningEngine(_PartitionedEngineBase):
                 ):
                     half_uses[key] = half_uses.get(key, 0) + 1
 
-        def matching(kind: str, bin_index, rows: List[Row], query) -> List[Row]:
-            key = (kind, bin_index)
-            if bin_index is None or half_uses.get(key, 0) < 3:
-                return [
-                    row for row in rows
-                    if row.values.get(query.attribute) == query.value
-                ]
-            index = grouped_cache.get(key)
-            if index is None:
-                index = group_rows_by_value(rows, self.attribute)
-                grouped_cache[key] = index
-            return index.get(query.value, [])
+            def matching(kind: str, bin_index, rows: List[Row], query) -> List[Row]:
+                key = (kind, bin_index)
+                if bin_index is None or half_uses.get(key, 0) < 3:
+                    return [
+                        row for row in rows
+                        if row.values.get(query.attribute) == query.value
+                    ]
+                index = grouped_cache.get(key)
+                if index is None:
+                    index = group_rows_by_value(rows, self.attribute)
+                    grouped_cache[key] = index
+                return index.get(query.value, [])
 
-        for value, decision in zip(values, slots):
-            query = SelectionQuery(self.attribute, value)
-            if decision is None:
-                results.append(([], self._empty_trace(query)))
-                continue
-            response = responses[response_index]
-            response_index += 1
-            # Deduplicated responses share their encrypted row list, so one
-            # decryption pass serves every query answered from that retrieval
-            # (and the per-bin plaintext cache carries it across workloads).
-            cache_key = id(response.encrypted_rows)
-            sensitive_rows = decrypted_cache.get(cache_key)
-            if sensitive_rows is None:
+            results: List[Tuple[List[Row], ExecutionTrace]] = []
+            for value, decision in zip(values, slots):
+                query = SelectionQuery(self.attribute, value)
+                if decision is None:
+                    results.append(([], self._empty_trace(query)))
+                    continue
+                response = next(responses)
                 sensitive_rows = self._decrypt_bin(
-                    decision.sensitive_bin_index, response.encrypted_rows
+                    decrypted, decision.sensitive_bin_index, response.encrypted_rows
                 )
-                decrypted_cache[cache_key] = sensitive_rows
-            if use_grouped_merge:
                 rows = merge_results(
                     query,
                     matching("s", decision.sensitive_bin_index, sensitive_rows, query),
@@ -810,10 +742,51 @@ class QueryBinningEngine(_PartitionedEngineBase):
                     ),
                     already_filtered=True,
                 )
-            else:
-                rows = merge_results(query, sensitive_rows, response.non_sensitive_rows)
-            results.append((rows, self._trace_for(query, decision, response, len(rows))))
-        return results
+                results.append(
+                    (rows, self._trace_for(query, decision, response, len(rows)))
+                )
+            return results
+
+    def _fetch(
+        self,
+        placement: str,
+        requests: List[BatchRequest],
+        decrypted: Dict[int, List[Row]],
+    ) -> List[QueryResponse]:
+        """The cloud's responses to ``requests``, in order; the only step
+        that depends on the placement."""
+        if placement == "sequential":
+            serve = self.cloud.serve
+            return [serve(request) for request in requests]
+        if placement == "batched":
+            return self.cloud.process_batch(requests)
+        if self.multi_cloud is None or self.shard_router is None:
+            raise ConfigurationError(
+                "sharded placement requires a MultiCloud attached at "
+                "construction (and setup() run since)"
+            )
+
+        def decrypt_early(request: BatchRequest, response: QueryResponse) -> None:
+            # Runs in the coordinating thread as each member completes,
+            # overlapping owner-side decryption with the searches still in
+            # flight on other members.  Fills the same memos the decrypt
+            # loop reads, so nothing is decrypted twice.  Under member
+            # failure the fleet invokes this exactly once per half — for the
+            # replica's response, never the crashed attempt's — and a
+            # replica's slice holds the same ciphertexts as the primary's,
+            # so the per-bin plaintext cache stays placement-agnostic.
+            # Cleartext halves carry no encrypted rows and are skipped.
+            if response.encrypted_rows:
+                self._decrypt_bin(
+                    decrypted, request.sensitive_bin_index, response.encrypted_rows
+                )
+
+        return self.multi_cloud.process_batch(
+            requests,
+            self.shard_router,
+            max_workers=self.shard_max_workers,
+            response_consumer=decrypt_early,
+        )
 
     # -- introspection ----------------------------------------------------------------
     def insert(self, values: Dict[str, object], sensitive: bool) -> None:

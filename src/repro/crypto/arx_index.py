@@ -28,10 +28,8 @@ from repro.crypto.base import (
 from repro.crypto.primitives import (
     SecretKey,
     aead_decrypt,
-    aead_encrypt,
     encode_value,
     encrypt_many,
-    prf,
     prf_many,
 )
 from repro.data.relation import Row
@@ -54,10 +52,6 @@ class ArxIndexScheme(EncryptedSearchScheme):
     #: The whole point of Arx: ``(value, occurrence)`` tags are stable, so
     #: the cloud maintains a regular exact-match index over them.
     supports_tag_index = True
-
-    #: Batched tag computation (one HMAC key schedule per batch) and batched
-    #: row encryption/decryption; tags stay bit-identical to the scalar path.
-    supports_batch = True
 
     #: Relative search-cost factor vs cleartext (the paper measures β ≈ 1.4-2.5
     #: for Arx because the cloud uses a regular index).
@@ -83,17 +77,8 @@ class ArxIndexScheme(EncryptedSearchScheme):
             deterministic=False,
         )
 
-    def _tag(self, attribute: str, value: object, occurrence: int) -> bytes:
-        material = (
-            attribute.encode()
-            + b"|"
-            + encode_value(value)
-            + b"|"
-            + occurrence.to_bytes(8, "big")
-        )
-        return prf(self._tag_key.material, material)
-
     def _tag_material(self, attribute: str, value: object, occurrence: int) -> bytes:
+        """The PRF input of an occurrence tag: ``attribute|value|occ8``."""
         return (
             attribute.encode()
             + b"|"
@@ -104,10 +89,6 @@ class ArxIndexScheme(EncryptedSearchScheme):
 
     # -- owner side -------------------------------------------------------------
     def encrypt_rows(self, rows: Sequence[Row], attribute: str) -> List[EncryptedRow]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return self._encrypt_rows_scalar(rows, attribute)
-        self.batch_calls += 1
         rows = list(rows)
         counters = self._counters[attribute]
         materials: List[bytes] = []
@@ -133,46 +114,11 @@ class ArxIndexScheme(EncryptedSearchScheme):
             for row, ciphertext, tag in zip(rows, ciphertexts, tags)
         ]
 
-    def _encrypt_rows_scalar(
-        self, rows: Sequence[Row], attribute: str
-    ) -> List[EncryptedRow]:
-        """Scalar reference loop (parity baseline for the batch path)."""
-        encrypted: List[EncryptedRow] = []
-        counters = self._counters[attribute]
-        for row in rows:
-            value = row[attribute]
-            occurrence = counters[value]
-            counters[value] = occurrence + 1
-            payload = pickle.dumps(
-                {"rid": row.rid, "values": dict(row.values), "sensitive": row.sensitive}
-            )
-            encrypted.append(
-                EncryptedRow(
-                    rid=row.rid,
-                    ciphertext=aead_encrypt(self._row_key, payload),
-                    search_tag=self._tag(attribute, value, occurrence),
-                )
-            )
-        return encrypted
-
     def tokens_for_values(
         self, values: Sequence[object], attribute: str
     ) -> List[SearchToken]:
         """Generate one token per stored occurrence of each requested value."""
         counters = self._counters.get(attribute, {})
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            tokens: List[SearchToken] = []
-            for value in values:
-                for occurrence in range(counters.get(value, 0)):
-                    tokens.append(
-                        SearchToken(
-                            payload=self._tag(attribute, value, occurrence),
-                            hint=occurrence,
-                        )
-                    )
-            return tokens
-        self.batch_calls += 1
         materials: List[bytes] = []
         hints: List[int] = []
         for value in values:
@@ -191,9 +137,6 @@ class ArxIndexScheme(EncryptedSearchScheme):
         )
 
     def decrypt_rows_many(self, encrypted: Sequence[EncryptedRow]) -> List[Row]:
-        if not self.use_batch:
-            return super().decrypt_rows_many(encrypted)
-        self.batch_calls += 1
         return self._decrypt_row_payloads(self._row_key, encrypted)
 
     # -- cloud side ----------------------------------------------------------------

@@ -153,37 +153,16 @@ class EncryptedSearchScheme(abc.ABC):
 
     # -- batch execution contract -------------------------------------------
     #
-    # The ``*_many`` hooks (``encrypt_rows`` batch bodies, ``search`` batch
-    # bodies, :meth:`decrypt_rows_many`, :meth:`index_keys`) amortise
-    # per-call crypto setup (HMAC key schedules, AES-GCM cipher objects,
-    # sub-key derivations) over whole row batches.  They are required to be
-    # *observably identical* to the scalar reference loops: same tags and
-    # tokens bit-for-bit for deterministic constructions, same match sets
-    # and error behaviour for all, same work-counter increments on every
-    # index they touch.  The parity suite pins this.
+    # Every operation takes whole batches (``encrypt_rows``, ``search``,
+    # :meth:`decrypt_rows_many`, :meth:`index_keys`), so the built-in
+    # schemes amortise per-call crypto setup (HMAC key schedules, AES-GCM
+    # cipher objects, sub-key derivations) over the batch.  The tests pin
+    # their outputs against the primitives and the plaintext oracle.
 
-    #: Batch-path master switch.  ``True`` routes vector-capable operations
-    #: through the ``*_many`` hooks; setting it ``False`` (per instance or
-    #: subclass) forces every operation through the scalar reference loops —
-    #: the parity tests and the benchmark's scalar baseline use exactly this
-    #: toggle, so both paths stay exercised forever.
-    use_batch: bool = True
-
-    #: True when the scheme ships vectorized ``*_many`` overrides; schemes
-    #: that leave it False keep working unchanged through the scalar
-    #: fallbacks (the perfsmoke tripwires only police vector-capable
-    #: schemes).
-    supports_batch: bool = False
-
-    #: How many times a batch hook ran (class-level zero; ``+=`` creates the
-    #: instance counter on first use).  Perfsmoke tripwires assert this is
-    #: positive after a workload so refactors cannot silently drop back to
-    #: the scalar path.
-    batch_calls: int = 0
-
-    #: How many times a vector-capable operation fell back to its scalar
-    #: reference loop (``use_batch = False`` or a base-class default).  Must
-    #: stay zero for vector-capable schemes on the hot path.
+    #: How many times the base-class scalar :meth:`decrypt_rows_many` loop
+    #: ran (class-level zero; ``+=`` creates the instance counter on first
+    #: use).  Must stay zero on the hot path for the built-in schemes, which
+    #: all override it; the perfsmoke tripwire catches a lost override.
     scalar_fallback_calls: int = 0
 
     @property

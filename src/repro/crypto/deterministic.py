@@ -22,10 +22,8 @@ from repro.crypto.base import (
 from repro.crypto.primitives import (
     SecretKey,
     aead_decrypt,
-    aead_encrypt,
     encode_value,
     encrypt_many,
-    prf,
     prf_many,
 )
 from repro.data.relation import Row
@@ -48,10 +46,6 @@ class DeterministicScheme(EncryptedSearchScheme):
     #: payload) are exactly right.
     supports_tag_index = True
 
-    #: Batched tagging/encryption/decryption; tags stay bit-identical to the
-    #: scalar path (HMAC is deterministic) — the parity suite pins it.
-    supports_batch = True
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")
@@ -68,11 +62,8 @@ class DeterministicScheme(EncryptedSearchScheme):
             deterministic=True,
         )
 
-    def _tag(self, attribute: str, value: object) -> bytes:
-        return prf(self._tag_key.material, attribute.encode() + b"|" + encode_value(value))
-
     def _tag_many(self, attribute: str, values: Sequence[object]) -> List[bytes]:
-        """Batch :meth:`_tag`: one HMAC key schedule for the whole batch."""
+        """``PRF(tag_key, attribute|value)`` per value, one HMAC key schedule."""
         prefix = attribute.encode() + b"|"
         return prf_many(
             self._tag_key.material, [prefix + encode_value(value) for value in values]
@@ -80,10 +71,6 @@ class DeterministicScheme(EncryptedSearchScheme):
 
     # -- owner side -----------------------------------------------------------
     def encrypt_rows(self, rows: Sequence[Row], attribute: str) -> List[EncryptedRow]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return self._encrypt_rows_scalar(rows, attribute)
-        self.batch_calls += 1
         rows = list(rows)
         payloads = [
             pickle.dumps(
@@ -98,31 +85,9 @@ class DeterministicScheme(EncryptedSearchScheme):
             for row, ciphertext, tag in zip(rows, ciphertexts, tags)
         ]
 
-    def _encrypt_rows_scalar(
-        self, rows: Sequence[Row], attribute: str
-    ) -> List[EncryptedRow]:
-        """Scalar reference loop (parity baseline for the batch path)."""
-        encrypted: List[EncryptedRow] = []
-        for row in rows:
-            payload = pickle.dumps(
-                {"rid": row.rid, "values": dict(row.values), "sensitive": row.sensitive}
-            )
-            encrypted.append(
-                EncryptedRow(
-                    rid=row.rid,
-                    ciphertext=aead_encrypt(self._row_key, payload),
-                    search_tag=self._tag(attribute, row[attribute]),
-                )
-            )
-        return encrypted
-
     def tokens_for_values(
         self, values: Sequence[object], attribute: str
     ) -> List[SearchToken]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return [SearchToken(payload=self._tag(attribute, value)) for value in values]
-        self.batch_calls += 1
         return [
             SearchToken(payload=tag) for tag in self._tag_many(attribute, values)
         ]
@@ -134,9 +99,6 @@ class DeterministicScheme(EncryptedSearchScheme):
         )
 
     def decrypt_rows_many(self, encrypted: Sequence[EncryptedRow]) -> List[Row]:
-        if not self.use_batch:
-            return super().decrypt_rows_many(encrypted)
-        self.batch_calls += 1
         return self._decrypt_row_payloads(self._row_key, encrypted)
 
     # -- cloud side -------------------------------------------------------------

@@ -29,14 +29,11 @@ from repro.crypto.base import (
 from repro.crypto.primitives import (
     SecretKey,
     aead_decrypt,
-    aead_encrypt,
     encode_value,
     encrypt_many,
-    prf,
     prf_many,
 )
 from repro.data.relation import Row
-from repro.exceptions import CryptoError
 
 
 def _address_list() -> "defaultdict[object, List[int]]":
@@ -65,9 +62,6 @@ class NonDeterministicScheme(EncryptedSearchScheme):
     #: beyond the rids the adversary already observes as the access pattern).
     supports_tag_index = True
 
-    #: Batched row encryption/decryption and batched address blinding.
-    supports_batch = True
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")
@@ -90,10 +84,6 @@ class NonDeterministicScheme(EncryptedSearchScheme):
 
     # -- owner side -----------------------------------------------------------
     def encrypt_rows(self, rows: Sequence[Row], attribute: str) -> List[EncryptedRow]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return self._encrypt_rows_scalar(rows, attribute)
-        self.batch_calls += 1
         rows = list(rows)
         payloads: List[bytes] = []
         book = self._address_book[attribute]
@@ -114,36 +104,11 @@ class NonDeterministicScheme(EncryptedSearchScheme):
             for row, ciphertext in zip(rows, ciphertexts)
         ]
 
-    def _encrypt_rows_scalar(
-        self, rows: Sequence[Row], attribute: str
-    ) -> List[EncryptedRow]:
-        """Scalar reference loop (parity baseline for the batch path)."""
-        encrypted: List[EncryptedRow] = []
-        for row in rows:
-            payload = pickle.dumps(
-                {"rid": row.rid, "values": dict(row.values), "sensitive": row.sensitive}
-            )
-            ciphertext = aead_encrypt(self._row_key, payload)
-            self._address_book[attribute][row[attribute]].append(row.rid)
-            encrypted.append(
-                EncryptedRow(rid=row.rid, ciphertext=ciphertext, search_tag=b"")
-            )
-        return encrypted
-
     def tokens_for_values(
         self, values: Sequence[object], attribute: str
     ) -> List[SearchToken]:
         """Resolve values to blinded address tokens using owner metadata."""
         book = self._address_book.get(attribute, {})
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            tokens: List[SearchToken] = []
-            for value in values:
-                for rid in book.get(value, []):
-                    blinded = prf(self._addr_key.material, encode_value(rid))
-                    tokens.append(SearchToken(payload=blinded, hint=rid))
-            return tokens
-        self.batch_calls += 1
         rids = [rid for value in values for rid in book.get(value, [])]
         blinded_many = prf_many(
             self._addr_key.material, [encode_value(rid) for rid in rids]
@@ -160,9 +125,6 @@ class NonDeterministicScheme(EncryptedSearchScheme):
         )
 
     def decrypt_rows_many(self, encrypted: Sequence[EncryptedRow]) -> List[Row]:
-        if not self.use_batch:
-            return super().decrypt_rows_many(encrypted)
-        self.batch_calls += 1
         return self._decrypt_row_payloads(self._row_key, encrypted)
 
     # -- cloud side -------------------------------------------------------------

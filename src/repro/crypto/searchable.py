@@ -22,12 +22,10 @@ from repro.crypto.primitives import (
     NONCE_BYTES,
     SecretKey,
     aead_decrypt,
-    aead_encrypt,
     constant_time_equals,
     encode_value,
     encrypt_many,
     hmac_template,
-    prf,
     prf_many,
     random_bytes,
 )
@@ -50,11 +48,6 @@ class SSEScheme(EncryptedSearchScheme):
     #: cloud's bin-addressed store confines that trial-testing to one bin.
     supports_tag_index = False
 
-    #: Batched tagging and — the part that matters — batched trial testing:
-    #: ``search`` runs a bin slice as one pass with per-token HMAC templates
-    #: instead of a fresh key schedule per (row, token) pair.
-    supports_batch = True
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")
@@ -71,17 +64,8 @@ class SSEScheme(EncryptedSearchScheme):
             deterministic=False,
         )
 
-    def _value_token(self, attribute: str, value: object) -> bytes:
-        return prf(
-            self._token_key.material, attribute.encode() + b"|" + encode_value(value)
-        )
-
     # -- owner side -------------------------------------------------------------
     def encrypt_rows(self, rows: Sequence[Row], attribute: str) -> List[EncryptedRow]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return self._encrypt_rows_scalar(rows, attribute)
-        self.batch_calls += 1
         rows = list(rows)
         payloads = [
             pickle.dumps(
@@ -121,37 +105,9 @@ class SSEScheme(EncryptedSearchScheme):
             )
         return encrypted
 
-    def _encrypt_rows_scalar(
-        self, rows: Sequence[Row], attribute: str
-    ) -> List[EncryptedRow]:
-        """Scalar reference loop (parity baseline for the batch path)."""
-        encrypted: List[EncryptedRow] = []
-        for row in rows:
-            payload = pickle.dumps(
-                {"rid": row.rid, "values": dict(row.values), "sensitive": row.sensitive}
-            )
-            nonce = random_bytes(NONCE_BYTES)
-            token = self._value_token(attribute, row[attribute])
-            tag = prf(token, nonce)
-            encrypted.append(
-                EncryptedRow(
-                    rid=row.rid,
-                    ciphertext=aead_encrypt(self._row_key, payload),
-                    search_tag=nonce + tag,
-                )
-            )
-        return encrypted
-
     def tokens_for_values(
         self, values: Sequence[object], attribute: str
     ) -> List[SearchToken]:
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return [
-                SearchToken(payload=self._value_token(attribute, value))
-                for value in values
-            ]
-        self.batch_calls += 1
         prefix = attribute.encode() + b"|"
         return [
             SearchToken(payload=token)
@@ -168,9 +124,6 @@ class SSEScheme(EncryptedSearchScheme):
         )
 
     def decrypt_rows_many(self, encrypted: Sequence[EncryptedRow]) -> List[Row]:
-        if not self.use_batch:
-            return super().decrypt_rows_many(encrypted)
-        self.batch_calls += 1
         return self._decrypt_row_payloads(self._row_key, encrypted)
 
     # -- cloud side ----------------------------------------------------------------
@@ -185,17 +138,12 @@ class SSEScheme(EncryptedSearchScheme):
         trial-decrypts only its own bins' slices, and only separate
         processes let those slices be tested in parallel.
 
-        The batch pass runs the whole bin slice in one sweep with one HMAC
-        template per token: each (row, token) trial costs a state copy plus
-        a digest over the 12-byte nonce instead of a fresh ``hmac.new`` key
-        schedule, while the matching semantics stay exactly the scalar
-        loop's — storage order, first matching token wins, same
-        ``CryptoError`` on a malformed tag.
+        The whole bin slice runs in one sweep with one HMAC template per
+        token: each (row, token) trial costs a state copy plus a digest over
+        the 12-byte nonce instead of a fresh ``hmac.new`` key schedule.
+        Matches come back in storage order, the first matching token wins,
+        and a malformed tag raises ``CryptoError``.
         """
-        if not self.use_batch:
-            self.scalar_fallback_calls += 1
-            return self._search_scalar(stored, tokens)
-        self.batch_calls += 1
         matches: List[EncryptedRow] = []
         append = matches.append
         equals = constant_time_equals
@@ -211,27 +159,6 @@ class SSEScheme(EncryptedSearchScheme):
                 mac = template.copy()
                 mac.update(nonce)
                 if equals(mac.digest(), tag):
-                    append(row)
-                    break
-        return matches
-
-    def _search_scalar(
-        self, stored: Sequence[EncryptedRow], tokens: Sequence[SearchToken]
-    ) -> List[EncryptedRow]:
-        """The per-pair ``hmac.new`` reference loop (parity baseline)."""
-        matches: List[EncryptedRow] = []
-        append = matches.append
-        prf_local = prf
-        equals = constant_time_equals
-        payloads = [token.payload for token in tokens]
-        for row in stored:
-            search_tag = row.search_tag
-            if len(search_tag) < NONCE_BYTES:
-                raise CryptoError("malformed SSE search tag")
-            nonce = search_tag[:NONCE_BYTES]
-            tag = search_tag[NONCE_BYTES:]
-            for payload in payloads:
-                if equals(prf_local(payload, nonce), tag):
                     append(row)
                     break
         return matches

@@ -197,17 +197,16 @@ class DBOwner:
         self,
         attribute: str,
         values: Iterable[object],
-        batched: bool = True,
-        placement: Optional[str] = None,
+        placement: str = "batched",
     ) -> List[ExecutionTrace]:
-        """Run a workload; ``batched=False`` forces per-query execution
-        (identical observables, but no cross-query retrieval deduplication —
-        use it when timing individual queries).  ``placement="sharded"``
-        fans the workload out across the attribute's :class:`MultiCloud`
-        fleet (requires ``num_clouds`` at construction)."""
-        return self.engine_for(attribute).execute_workload(
-            values, batched=batched, placement=placement
-        )
+        """Run a workload; returns its traces.
+
+        ``placement="sequential"`` serves one request per query (identical
+        observables and the same interned retrievals; use it when timing
+        individual queries).  ``placement="sharded"`` fans the workload out
+        across the attribute's :class:`MultiCloud` fleet (requires
+        ``num_clouds`` at construction)."""
+        return self.engine_for(attribute).execute_workload(values, placement=placement)
 
     def multi_cloud_for(self, attribute: str) -> MultiCloud:
         """The sharded fleet serving ``attribute`` (requires ``num_clouds``)."""

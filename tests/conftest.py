@@ -10,6 +10,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.adversary.auditor import PartitionedSecurityAuditor
 from repro.adversary.view import AdversarialView
 from repro.cloud.multi_cloud import MultiCloud
 from repro.cloud.server import BatchRequest, CloudServer, QueryResponse
@@ -111,8 +112,10 @@ def qb_employee_engine(employee_split):
 #
 # The repo's core security claim is that every execution strategy — one
 # request at a time, batched on one server, or sharded across a fleet —
-# produces bit-identical results and adversarial observables.  The harness
-# below is the reusable machinery for asserting that: any future execution
+# produces bit-identical results and adversarial observables.  Results are
+# first checked against a plaintext oracle, so a bug every placement shares
+# cannot hide behind their agreement.  The harness below is the reusable
+# machinery for asserting that: any future execution
 # strategy gets parity coverage by adding one ``run()`` call, not a new test
 # file.
 
@@ -377,6 +380,7 @@ class ExecutionParityHarness:
         (order is the one thing interleaving may legitimately permute); and
         statistics aggregate to the same totals.
         """
+        self.assert_matches_oracle(concurrent)
         assert concurrent.result_rids == reference.result_rids
         assert len(concurrent.traces) == len(reference.traces)
         for ours, theirs in zip(concurrent.traces, reference.traces):
@@ -416,7 +420,49 @@ class ExecutionParityHarness:
                 reference.cloud.network.total_tuples("download")
             )
 
+    def oracle_rids(self) -> Dict[object, List[int]]:
+        """The plaintext oracle: per value, the sorted rids of every row of
+        ``Rs ∪ Rns`` whose searched attribute equals it.  Read at assertion
+        time, so rows inserted into the shared partition count."""
+        partition = self.dataset.partition
+        attribute = self.dataset.attribute
+        expected: Dict[object, List[int]] = {}
+        for relation in (partition.sensitive, partition.non_sensitive):
+            for row in relation:
+                expected.setdefault(row.get(attribute), []).append(row.rid)
+        return {value: sorted(rids) for value, rids in expected.items()}
+
+    def assert_matches_oracle(self, run: StrategyRun) -> None:
+        """Every query returned exactly the plaintext selection's rows."""
+        expected = self.oracle_rids()
+        for trace, rids in zip(run.traces, run.result_rids):
+            value = trace.query.value
+            assert rids == expected.get(value, []), (
+                f"{run.placement} answered {value!r} with rids {rids}, "
+                f"the plaintext oracle says {expected.get(value, [])}"
+            )
+
+    def assert_secure(self, run: StrategyRun) -> None:
+        """The single server's views satisfy Eq. (1) and Eq. (2) over a
+        workload that queried the whole domain."""
+        engine = run.engine
+        assert engine.metadata is not None and engine.layout is not None
+        queried = {trace.query.value for trace in run.traces}
+        assert queried >= set(self.dataset.all_values), "workload missed values"
+        report = PartitionedSecurityAuditor(
+            num_non_sensitive_values=engine.metadata.num_non_sensitive_values,
+            layout=engine.layout,
+            sensitive_counts=engine.metadata.sensitive_counts,
+        ).audit(run.cloud.view_log, full_domain_queried=True)
+        assert report.secure, f"{run.placement}: {report.violations}"
+
     def assert_identical_results(self, runs: Dict[str, StrategyRun]) -> None:
+        """Every run matches the plaintext oracle (and, on one server, the
+        auditor); only then must the placements agree with each other."""
+        for run in runs.values():
+            self.assert_matches_oracle(run)
+            if run.fleet is None:
+                self.assert_secure(run)
         reference = runs["sequential"]
         for placement, run in runs.items():
             assert run.result_rids == reference.result_rids, (

@@ -4,7 +4,7 @@ The cloud may answer the sensitive half of a query three ways (tag index,
 bin-addressed store, linear scan — see :mod:`repro.cloud.server`); these tests
 pin the contract that all paths are observationally identical: same rows, same
 order, same adversarial views, same statistics.  Batching
-(:meth:`CloudServer.process_batch` / ``execute_workload(batched=True)``) gets
+(:meth:`CloudServer.process_batch` / ``execute_workload(placement="batched")``) gets
 the same treatment: it may deduplicate *work* but never merge or alter what
 each query contributes to the view log and the counters.
 """
@@ -143,7 +143,7 @@ class TestBatchingInvariance:
         batched = build_engine(dataset, SCHEMES[scheme_name], True)
         workload = self._workload(dataset)
 
-        traces_seq = sequential.execute_workload(workload, batched=False)
+        traces_seq = sequential.execute_workload(workload, placement="sequential")
         traces_bat = batched.execute_workload(workload)
 
         assert len(traces_seq) == len(traces_bat)

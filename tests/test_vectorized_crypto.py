@@ -1,14 +1,13 @@
-"""Batch-vs-scalar parity for the vectorized crypto hot path (PR 8).
+"""The batched crypto hot path, checked against the primitives.
 
-Every vector-capable scheme carries two implementations of its hot loops:
-the batched one (``use_batch=True``, the default) and the scalar reference
-loop it replaced.  The contract is *observational identity*: identical
-tags/tokens bit-for-bit for the deterministic constructions, identical match
-sets and decryptions for all of them, and identical work counters — so the
-vectorization is invisible to results, the adversary, and the parity
-harnesses.  These tests pin that contract, plus the primitives underneath
-(``prf_many`` / ``encrypt_many`` / ``decrypt_many``) and the framed
-process-member wire format with its version handshake.
+Every scheme computes its tags, tokens, and payloads in batches
+(``prf_many`` / ``encrypt_many`` / ``decrypt_many``).  These tests recompute
+the expected values one at a time from ``prf`` over the scheme's derived
+sub-keys and from ``aead_decrypt``, so the batch code is pinned to the
+constructions it implements: bit-identical tags and tokens, exact match
+sets, and round-tripping payloads.  They also cover the primitives
+themselves and the framed process-member wire format with its version
+handshake.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from repro.crypto.primitives import (
     aead_decrypt,
     aead_encrypt,
     decrypt_many,
+    encode_value,
     encrypt_many,
     prf,
     prf_many,
@@ -67,13 +67,7 @@ def sample_rows(num: int = 12):
     return list(relation.rows)
 
 
-def scheme_pair(scheme_cls):
-    """Two instances of one scheme sharing a key: batched and scalar."""
-    key = SecretKey.from_passphrase("vector-parity")
-    batched = scheme_cls(key)
-    scalar = scheme_cls(key)
-    scalar.use_batch = False
-    return batched, scalar
+SCHEME_KEY = SecretKey.from_passphrase("vector-parity")
 
 
 # -- primitives ---------------------------------------------------------------
@@ -118,97 +112,163 @@ class TestPrimitiveParity:
         assert clone.derive("row").material == key.derive("row").material
 
 
-# -- scheme-level parity ------------------------------------------------------
+# -- schemes against the primitives -------------------------------------------
+#
+# Expected tags, tokens, and payloads are computed here from ``prf`` over the
+# scheme's derived sub-keys and ``aead_decrypt``, independently of the
+# schemes' own batch code.
+def sub_key(label: str) -> bytes:
+    return SCHEME_KEY.derive(label).material
+
+
+def value_material(value) -> bytes:
+    return b"key|" + encode_value(value)
+
+
+def occurrences(rows):
+    """(row, occurrence index of its value so far), in row order."""
+    seen = {}
+    for row in rows:
+        occurrence = seen.get(row["key"], 0)
+        seen[row["key"]] = occurrence + 1
+        yield row, occurrence
+
+
+def arx_material(value, occurrence: int) -> bytes:
+    return value_material(value) + b"|" + occurrence.to_bytes(8, "big")
+
+
+class TestTagsMatchPrimitives:
+    def test_deterministic_tags_are_prf_of_attribute_and_value(self):
+        rows = sample_rows()
+        stored = DeterministicScheme(SCHEME_KEY).encrypt_rows(rows, "key")
+        assert [r.search_tag for r in stored] == [
+            prf(sub_key("tag"), value_material(row["key"])) for row in rows
+        ]
+
+    def test_arx_tags_are_prf_of_value_and_occurrence(self):
+        rows = sample_rows()
+        stored = ArxIndexScheme(SCHEME_KEY).encrypt_rows(rows, "key")
+        assert [r.search_tag for r in stored] == [
+            prf(sub_key("tag"), arx_material(row["key"], occurrence))
+            for row, occurrence in occurrences(rows)
+        ]
+
+    def test_non_deterministic_rows_carry_no_tag(self):
+        stored = NonDeterministicScheme(SCHEME_KEY).encrypt_rows(sample_rows(), "key")
+        assert all(r.search_tag == b"" for r in stored)
+
+    def test_sse_tags_are_nonce_and_prf_of_the_value_token(self):
+        rows = sample_rows()
+        stored = SSEScheme(SCHEME_KEY).encrypt_rows(rows, "key")
+        for row, encrypted in zip(rows, stored):
+            nonce, tag = encrypted.search_tag[:12], encrypted.search_tag[12:]
+            token = prf(sub_key("token"), value_material(row["key"]))
+            assert tag == prf(token, nonce)
+        # per-row nonces: equal values still get distinct tags
+        assert len({r.search_tag for r in stored}) == len(stored)
+
+
+class TestTokensMatchPrimitives:
+    VALUES = ["a", "c", "zzz"]
+
+    def test_deterministic_tokens(self):
+        scheme = DeterministicScheme(SCHEME_KEY)
+        scheme.encrypt_rows(sample_rows(), "key")
+        assert [
+            (t.payload, t.hint) for t in scheme.tokens_for_values(self.VALUES, "key")
+        ] == [(prf(sub_key("tag"), value_material(v)), None) for v in self.VALUES]
+
+    def test_arx_tokens_cover_every_stored_occurrence(self):
+        scheme = ArxIndexScheme(SCHEME_KEY)
+        rows = sample_rows()
+        scheme.encrypt_rows(rows, "key")
+        counts = {}
+        for row in rows:
+            counts[row["key"]] = counts.get(row["key"], 0) + 1
+        assert [
+            (t.payload, t.hint) for t in scheme.tokens_for_values(self.VALUES, "key")
+        ] == [
+            (prf(sub_key("tag"), arx_material(v, occurrence)), occurrence)
+            for v in self.VALUES
+            for occurrence in range(counts.get(v, 0))
+        ]
+
+    def test_non_deterministic_tokens_blind_each_address(self):
+        scheme = NonDeterministicScheme(SCHEME_KEY)
+        rows = sample_rows()
+        scheme.encrypt_rows(rows, "key")
+        assert [
+            (t.payload, t.hint) for t in scheme.tokens_for_values(self.VALUES, "key")
+        ] == [
+            (prf(sub_key("addr"), encode_value(row.rid)), row.rid)
+            for v in self.VALUES
+            for row in rows
+            if row["key"] == v
+        ]
+
+    def test_sse_tokens(self):
+        scheme = SSEScheme(SCHEME_KEY)
+        scheme.encrypt_rows(sample_rows(), "key")
+        assert [
+            (t.payload, t.hint) for t in scheme.tokens_for_values(self.VALUES, "key")
+        ] == [(prf(sub_key("token"), value_material(v)), None) for v in self.VALUES]
+
+
 @pytest.mark.parametrize(
     "scheme_cls", VECTOR_SCHEMES.values(), ids=VECTOR_SCHEMES.keys()
 )
-class TestSchemeBatchParity:
-    def test_batch_tags_and_decryptions_match_scalar(self, scheme_cls):
-        batched, scalar = scheme_pair(scheme_cls)
+class TestSchemeRoundTrips:
+    def test_payloads_decrypt_under_the_row_key(self, scheme_cls):
         rows = sample_rows()
-        stored_batched = batched.encrypt_rows(rows, "key")
-        stored_scalar = scalar.encrypt_rows(rows, "key")
-        # deterministic tag constructions: tags are bit-identical (SSE tags
-        # embed a fresh random nonce, so only their *matching* can be compared)
-        if scheme_cls is not SSEScheme:
-            assert [r.search_tag for r in stored_batched] == [
-                r.search_tag for r in stored_scalar
-            ]
-        assert [r.rid for r in stored_batched] == [r.rid for r in stored_scalar]
-        # ciphertexts differ (fresh nonces) but decrypt to the same rows,
-        # and either instance can decrypt the other's output
-        for decryptor, stored in (
-            (batched, stored_scalar),
-            (scalar, stored_batched),
-        ):
-            decrypted = decryptor.decrypt_rows(stored)
-            assert [r.as_dict() for r in decrypted] == [r.as_dict() for r in rows]
-
-    def test_batch_tokens_match_scalar_bit_for_bit(self, scheme_cls):
-        batched, scalar = scheme_pair(scheme_cls)
-        rows = sample_rows()
-        batched.encrypt_rows(rows, "key")
-        scalar.encrypt_rows(rows, "key")
-        values = ["a", "c", "zzz"]
-        tokens_batched = batched.tokens_for_values(values, "key")
-        tokens_scalar = scalar.tokens_for_values(values, "key")
-        assert [(t.payload, t.hint) for t in tokens_batched] == [
-            (t.payload, t.hint) for t in tokens_scalar
+        scheme = scheme_cls(SCHEME_KEY)
+        stored = scheme.encrypt_rows(rows, "key")
+        assert [r.rid for r in stored] == [row.rid for row in rows]
+        assert [
+            pickle.loads(aead_decrypt(SCHEME_KEY.derive("row"), r.ciphertext))
+            for r in stored
+        ] == [
+            {"rid": row.rid, "values": dict(row.values), "sensitive": row.sensitive}
+            for row in rows
         ]
+        assert [r.as_dict() for r in scheme.decrypt_rows(stored)] == [
+            row.as_dict() for row in rows
+        ]
+        assert scheme.scalar_fallback_calls == 0
 
-    def test_batch_search_returns_the_scalar_match_list(self, scheme_cls):
-        batched, scalar = scheme_pair(scheme_cls)
+    def test_search_returns_exactly_the_matching_rows(self, scheme_cls):
+        scheme = scheme_cls(SCHEME_KEY)
         rows = sample_rows()
-        stored = batched.encrypt_rows(rows, "key")
-        scalar.encrypt_rows(rows, "key")  # advance stateful metadata equally
-        tokens = batched.tokens_for_values(["a", "b"], "key")
-        matches_batched = batched.search(stored, tokens)
-        matches_scalar = scalar.search(stored, tokens)
-        assert [m.rid for m in matches_batched] == [m.rid for m in matches_scalar]
-        expected = {r.rid for r in rows if r["key"] in {"a", "b"}}
-        assert {m.rid for m in matches_batched} == expected
-
-    def test_counters_expose_which_path_ran(self, scheme_cls):
-        batched, scalar = scheme_pair(scheme_cls)
-        rows = sample_rows()
-        stored = batched.encrypt_rows(rows, "key")
-        scalar.encrypt_rows(rows, "key")
-        batched.decrypt_rows(stored)
-        batched.tokens_for_values(["a"], "key")
-        scalar.tokens_for_values(["a"], "key")
-        assert batched.batch_calls > 0
-        assert batched.scalar_fallback_calls == 0
-        assert scalar.batch_calls == 0
-        assert scalar.scalar_fallback_calls > 0
+        stored = scheme.encrypt_rows(rows, "key")
+        tokens = scheme.tokens_for_values(["a", "b"], "key")
+        matches = [m.rid for m in scheme.search(stored, tokens)]
+        expected = [row.rid for row in rows if row["key"] in {"a", "b"}]
+        assert sorted(matches) == sorted(expected)
+        if scheme_cls is not ArxIndexScheme:  # Arx answers in token order
+            assert matches == expected
 
 
 class TestSSESearchEdgeCases:
-    def test_batch_search_preserves_storage_order_and_multiplicity(self):
-        batched, scalar = scheme_pair(SSEScheme)
+    def test_search_preserves_storage_order_and_multiplicity(self):
+        scheme = SSEScheme(SCHEME_KEY)
         rows = sample_rows()
-        stored = batched.encrypt_rows(rows, "key")
-        scalar.encrypt_rows(rows, "key")
-        tokens = batched.tokens_for_values(["b", "a"], "key")
-        assert [m.rid for m in batched.search(stored, tokens)] == [
-            m.rid for m in scalar.search(stored, tokens)
+        stored = scheme.encrypt_rows(rows, "key")
+        tokens = scheme.tokens_for_values(["b", "a"], "key")
+        assert [m.rid for m in scheme.search(stored, tokens)] == [
+            row.rid for row in rows if row["key"] in {"a", "b"}
         ]
 
-    def test_batch_search_rejects_malformed_tags_like_scalar(self):
+    def test_search_rejects_malformed_tags(self):
         from repro.crypto.base import EncryptedRow
         from repro.exceptions import CryptoError
 
-        batched, scalar = scheme_pair(SSEScheme)
-        rows = sample_rows(4)
-        stored = batched.encrypt_rows(rows, "key")
-        scalar.encrypt_rows(rows, "key")
+        scheme = SSEScheme(SCHEME_KEY)
+        stored = scheme.encrypt_rows(sample_rows(4), "key")
         bad = [EncryptedRow(rid=99, ciphertext=b"x", search_tag=b"short")] + list(
             stored
         )
-        tokens = batched.tokens_for_values(["a"], "key")
         with pytest.raises(CryptoError):
-            batched.search(bad, tokens)
-        with pytest.raises(CryptoError):
-            scalar.search(bad, tokens)
+            scheme.search(bad, scheme.tokens_for_values(["a"], "key"))
 
 
 class TestTagIndexBatchProbe:
@@ -231,34 +291,6 @@ class TestTagIndexBatchProbe:
 
 
 # -- engine-level parity ------------------------------------------------------
-@pytest.mark.parametrize(
-    "scheme_cls", VECTOR_SCHEMES.values(), ids=VECTOR_SCHEMES.keys()
-)
-def test_vectorized_engine_is_observably_identical_to_scalar(
-    parity_harness, scheme_cls
-):
-    """Two engines over the same dataset/key/layout — one batched, one forced
-    scalar — answer a workload with identical rows, views, and statistics."""
-
-    def scalar_factory(key):
-        scheme = scheme_cls(key)
-        scheme.use_batch = False
-        return scheme
-
-    batched = parity_harness(scheme_cls)
-    scalar = parity_harness(scalar_factory)
-    workload = batched.workload()
-    run_batched = batched.run("batched", workload)
-    run_scalar = scalar.run("batched", workload)
-    assert run_batched.result_rids == run_scalar.result_rids
-    assert run_batched.cloud.stats == run_scalar.cloud.stats
-    assert len(run_batched.cloud.view_log) == len(run_scalar.cloud.view_log)
-    for ours, theirs in zip(run_batched.cloud.view_log, run_scalar.cloud.view_log):
-        assert ours.returned_sensitive_rids == theirs.returned_sensitive_rids
-        assert ours.sensitive_request_size == theirs.sensitive_request_size
-        assert ours.non_sensitive_request == theirs.non_sensitive_request
-
-
 @pytest.mark.skipif(
     not process_backend_available(), reason="no fork start method"
 )
