@@ -283,8 +283,6 @@ class ShardRouter:
                     "replication factor"
                 )
         self._full_membership = len(self.live_members) == num_shards
-        #: primary slot → live chain; tiny key space, hot planning path.
-        self._chain_memo: Dict[int, Tuple[int, ...]] = {}
         self._sensitive_assignment: Dict[object, int] = assign(
             range(num_sensitive_bins), num_shards
         )
@@ -297,15 +295,6 @@ class ShardRouter:
         self._non_sensitive_raw: Dict[object, int] = assign(
             range(num_non_sensitive_bins), num_shards
         )
-        # Routing is a pure function of the (immutable) assignment tables,
-        # and QB workloads revisit the same bin pairs constantly, so the
-        # per-request candidate chains are memoised — the hot batch-planning
-        # path then does one dict probe per half instead of rebuilding ring
-        # tuples per query.
-        self._candidate_memo: Dict[
-            Tuple[Optional[int], Optional[int], bool, bool],
-            Tuple[Optional[Tuple[int, ...]], Optional[Tuple[int, ...]]],
-        ] = {}
 
     # -- bin-level placement -------------------------------------------------
     def shard_of_sensitive(self, bin_index: int) -> int:
@@ -318,25 +307,21 @@ class ShardRouter:
     def _chain_from(self, primary: int) -> Tuple[int, ...]:
         """The live token chain anchored at slot ``primary``.
 
-        Full membership: the static ring successors (memoised globally).
-        Partial membership: the first ``replication_factor`` *live* slots at
-        or after ``primary`` on the ring — the chain a bin's slice is
-        re-replicated onto after a member loss.
+        Full membership: the static ring successors.  Partial membership:
+        the first ``replication_factor`` *live* slots at or after
+        ``primary`` on the ring — the chain a bin's slice is re-replicated
+        onto after a member loss.
         """
         if self._full_membership:
             return replica_chain(primary, self.num_shards, self.replication_factor)
-        chain = self._chain_memo.get(primary)
-        if chain is None:
-            collected: List[int] = []
-            for offset in range(self.num_shards):
-                member = (primary + offset) % self.num_shards
-                if member in self.live_members:
-                    collected.append(member)
-                    if len(collected) == self.replication_factor:
-                        break
-            chain = tuple(collected)
-            self._chain_memo[primary] = chain
-        return chain
+        collected: List[int] = []
+        for offset in range(self.num_shards):
+            member = (primary + offset) % self.num_shards
+            if member in self.live_members:
+                collected.append(member)
+                if len(collected) == self.replication_factor:
+                    break
+        return tuple(collected)
 
     def replicas_of_sensitive(self, bin_index: Optional[int]) -> Tuple[int, ...]:
         """Every member holding bin ``bin_index``'s slice, primary first.
@@ -395,18 +380,8 @@ class ShardRouter:
 
         First entries are the healthy-fleet placement (identical to
         :meth:`route`); the rest are the failover order.  A half the request
-        does not carry maps to ``None``.  Memoised per (bin pair, carried
-        halves) — see the constructor comment.
+        does not carry maps to ``None``.
         """
-        memo_key = (
-            request.sensitive_bin_index,
-            request.non_sensitive_bin_index,
-            request.has_sensitive_half,
-            request.has_non_sensitive_half,
-        )
-        cached = self._candidate_memo.get(memo_key)
-        if cached is not None:
-            return cached
         anchor = 0
         if request.sensitive_bin_index is not None:
             anchor = self.shard_of_sensitive(request.sensitive_bin_index)
@@ -418,7 +393,6 @@ class ShardRouter:
             non_sensitive = self.cleartext_candidates(
                 request.non_sensitive_bin_index, anchor
             )
-        self._candidate_memo[memo_key] = (sensitive, non_sensitive)
         return sensitive, non_sensitive
 
     def route(self, request: BatchRequest) -> Tuple[Optional[int], Optional[int]]:

@@ -279,7 +279,6 @@ class CloudServer:
         )
         self._non_sensitive: Optional[Relation] = None
         self._indexes: Dict[str, HashIndex] = {}
-        self._encrypted_rows_snapshot: Optional[Tuple[EncryptedRow, ...]] = None
         self._scheme: Optional[EncryptedSearchScheme] = None
         self.view_log = ViewLog()
         self.stats = CloudStatistics()
@@ -372,7 +371,6 @@ class CloudServer:
         """
         encrypted_rows = list(encrypted_rows)
         with self._lock:
-            self._encrypted_rows_snapshot = None
             self._scheme = scheme
             self._invalidate_retrievals()
             self.storage.reset(
@@ -429,7 +427,6 @@ class CloudServer:
         encrypted_rows: Sequence[EncryptedRow],
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
-        self._encrypted_rows_snapshot = None
         self._invalidate_retrievals()
         self.storage.append(encrypted_rows, bin_assignment)
 
@@ -519,7 +516,6 @@ class CloudServer:
             dropped = self.storage.drop_bins(bins)
             if not dropped:
                 return 0
-            self._encrypted_rows_snapshot = None
             self._invalidate_retrievals()
             self.network.record(
                 "migration-drop", f"drop {len(set(bins))} bin slices", dropped
@@ -557,11 +553,10 @@ class CloudServer:
 
     @property
     def stored_encrypted_rows(self) -> Tuple[EncryptedRow, ...]:
-        """The encrypted relation in storage order (cached between mutations)."""
+        """A copy of the encrypted relation in storage order (analysis code
+        reads it; no query path does)."""
         with self._lock:
-            if self._encrypted_rows_snapshot is None:
-                self._encrypted_rows_snapshot = tuple(self.storage.all_rows())
-            return self._encrypted_rows_snapshot
+            return tuple(self.storage.all_rows())
 
     # -- query processing --------------------------------------------------------
     def _select_non_sensitive(self, attribute: str, values: Sequence[object]) -> List[Row]:

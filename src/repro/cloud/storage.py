@@ -167,11 +167,6 @@ class MemoryBackend(StorageBackend):
         self._bin_store: Optional[Dict[int, List[EncryptedRow]]] = None
         self._unassigned: List[EncryptedRow] = []
         self._bin_assignment: Dict[int, int] = {}
-        # Memoised bin_candidates results (bin slice + unassigned concat):
-        # the compute-bound benchmark regime re-serves the same hot bins per
-        # pass, so the concatenation is built once per bin per mutation
-        # epoch.  Cleared on every mutation.
-        self._candidate_cache: Dict[int, Sequence[EncryptedRow]] = {}
 
     # -- outsourcing --------------------------------------------------------------
     def reset(
@@ -189,7 +184,6 @@ class MemoryBackend(StorageBackend):
         self._bin_store = None
         self._unassigned = []
         self._bin_assignment = dict(bin_assignment) if bin_assignment else {}
-        self._candidate_cache.clear()
         if build_tag_index:
             self._tag_index = EncryptedTagIndex(scheme)
             self._tag_index.add_rows(self._rows, 0)
@@ -204,7 +198,6 @@ class MemoryBackend(StorageBackend):
     ) -> None:
         start_position = len(self._rows)
         self._rows.extend(rows)
-        self._candidate_cache.clear()
         if bin_assignment:
             self._bin_assignment.update(bin_assignment)
         if self._tag_index is not None:
@@ -243,12 +236,9 @@ class MemoryBackend(StorageBackend):
 
     def bin_candidates(self, bin_index: int) -> Sequence[EncryptedRow]:
         assert self._bin_store is not None
-        candidates = self._candidate_cache.get(bin_index)
-        if candidates is None:
-            candidates = self._bin_store.get(bin_index, [])
-            if self._unassigned:
-                candidates = candidates + self._unassigned
-            self._candidate_cache[bin_index] = candidates
+        candidates = self._bin_store.get(bin_index, [])
+        if self._unassigned:
+            candidates = candidates + self._unassigned
         return candidates
 
     # -- slice migration ----------------------------------------------------------
@@ -286,7 +276,6 @@ class MemoryBackend(StorageBackend):
         if not dropped:
             return 0
         self._rows = keep
-        self._candidate_cache.clear()
         if self._tag_index is not None:
             assert self._scheme is not None
             rebuilt = EncryptedTagIndex(self._scheme)

@@ -92,9 +92,9 @@ class BinLayout:
         self.attribute = attribute
         self._sensitive_location: Dict[object, Tuple[int, int]] = {}
         self._non_sensitive_location: Dict[object, Tuple[int, int]] = {}
-        #: bumped on every (re)build of the location maps, so caches keyed on
-        #: retrieval decisions (e.g. in BinRetriever) can detect mutation by
-        #: the incremental inserter without holding references into the bins.
+        #: bumped on every (re)build of the location maps, so the engine's
+        #: owner memo can detect mutation by the incremental inserter
+        #: without holding references into the bins.
         self.version = 0
         self._rebuild_locations()
 

@@ -71,13 +71,13 @@ class _PartitionedEngineBase:
         self.scheme = scheme
         self.cloud = cloud or CloudServer()
         #: the per-tenant engine lock: one owner-side operation (setup,
-        #: query, workload, insert) at a time.  Owner caches — tokens,
-        #: interned requests, decrypted bins — are read-and-filled by
-        #: queries and *cleared* by inserts; without this lock a mid-query
-        #: insert from a second session can clear a cache the query is
-        #: iterating.  Re-entrant: the query pipeline nests the locked
-        #: rewrite helpers, and the scheme/metadata objects are owned by
-        #: exactly one engine.
+        #: query, workload, insert) at a time.  The owner memo is read and
+        #: filled by queries and *cleared* by inserts; without this lock a
+        #: mid-query insert from a second session can clear a memo the
+        #: query is iterating.  Code that changes the layout in place (the
+        #: incremental inserter) holds it too.  Re-entrant: the query
+        #: pipeline nests the locked rewrite helpers, and the
+        #: scheme/metadata objects are owned by exactly one engine.
         self._lock = threading.RLock()
         self._outsourced = False
         self._fake_rid_counter = itertools.count(start=-1, step=-1)
@@ -226,15 +226,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         placement never co-locates a bin's token slice with its paired
         cleartext traffic, so replication preserves the non-collusion
         guarantee; it costs ``k``× cloud-side ciphertext storage.
-    plaintext_cache_bins:
-        How many sensitive bins' decrypted rows the owner may keep (FIFO
-        eviction; ``None`` = unbounded, ``0`` disables the cache).
-    token_cache_bins:
-        How many sensitive bins' search tokens — and per-bin-pair interned
-        request objects — the owner may keep (FIFO eviction; ``None`` =
-        unbounded, ``0`` disables the caches).  Tokens dominate the owner's
-        steady-state memory for address-token schemes, so the cap is the
-        memory/CPU trade knob on the query-rewrite side.
     """
 
     def __init__(
@@ -252,8 +243,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         shard_policy: str = "hash",
         shard_max_workers: Optional[int] = None,
         replication_factor: int = 1,
-        plaintext_cache_bins: Optional[int] = 1024,
-        token_cache_bins: Optional[int] = 1024,
     ):
         super().__init__(partition, attribute, scheme, cloud)
         self.add_fake_tuples = add_fake_tuples
@@ -273,51 +262,38 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self.layout: Optional[BinLayout] = None
         self.retriever: Optional[BinRetriever] = None
         self.fake_rows_outsourced = 0
-        # Owner-side cache of search tokens per sensitive bin: every query
-        # hitting the same bin sends the same token set, so recomputing
-        # tokens_for_values per query is pure waste.  Invalidated whenever
-        # the scheme's owner metadata can change (setup, sensitive inserts);
-        # capped at ``token_cache_bins`` entries (FIFO eviction).
-        self._token_cache: Dict[int, List] = {}
-        self._token_cache_bins = token_cache_bins
-        # Interned BatchRequest per bin pair: a bin pair's request content
-        # (cleartext value tuple, token tuple, bin annotations) is a pure
-        # function of the layout, so the same frozen request object is
-        # re-sent for every query answered from the pair.  Downstream this
-        # is what makes the cloud's retrieval interning and the router's
-        # candidate memo O(1) per query (identity-hit dict probes).  Keyed
-        # to the layout version exactly like the retriever's decision cache,
-        # and dropped with the token cache on setup/sensitive inserts.
-        self._request_cache: Dict[
-            Tuple[Optional[int], Optional[int]], BatchRequest
-        ] = {}
-        self._request_cache_version: Optional[int] = None
-        # Owner-side cache of *decrypted* rows per sensitive bin, the
-        # retrieval-side twin of the token cache: a bin's padded ciphertext
-        # set is immutable between sensitive inserts, so every retrieval of
-        # bin ``i`` decrypts to the same plaintext rows.  Keeping them makes
-        # steady-state workload cost scan-bound (the part sharding divides)
-        # instead of decryption-bound.  Same invalidation events as the
-        # token cache.  The owner deliberately trades memory for CPU here;
-        # ``plaintext_cache_bins`` caps how many bins' plaintexts it will
-        # hold (FIFO eviction; ``None`` = unbounded).
+        # The owner memo.  Under Algorithm 2 every value of a bin pair maps
+        # to the same retrieval, so a query's decision, request, tokens and
+        # decrypted rows are functions of the layout and the scheme's owner
+        # metadata, and the layout bounds each dict: one entry per layout
+        # value, sensitive bin, or bin pair.  ``_invalidate`` is the only
+        # code that clears them.
+        #: query value -> decision; only decisions that retrieve something
+        self._decisions: Dict[object, RetrievalDecision] = {}
+        #: sensitive bin -> token tuple, shared by all the bin's requests
+        self._token_cache: Dict[int, Tuple] = {}
+        #: bin pair -> interned request; the cloud's retrieval interning
+        #: and the fleet's half splitting then hit by object identity
+        self._request_cache: Dict[Tuple[int, int], BatchRequest] = {}
+        #: sensitive bin -> decrypted rows; a bin's padded ciphertext set is
+        #: fixed between sensitive inserts, whichever placement served it
         self._decrypted_bin_cache: Dict[int, List[Row]] = {}
-        self._plaintext_cache_bins = plaintext_cache_bins
+        #: the ``layout.version`` the memo was filled under
+        self._memo_version: Optional[int] = None
 
-    @staticmethod
-    def _fifo_put(cache: Dict, key, value, cap: Optional[int]) -> None:
-        """Insert into a FIFO-bounded cache.
+    def _invalidate(self) -> None:
+        """Clear the owner memo; the only code that does.
 
-        ``cap`` semantics shared by every owner-side cache: ``None`` =
-        unbounded, ``0`` disables caching entirely, otherwise the oldest
-        entry is evicted at the boundary (dicts iterate in insertion order).
+        Runs on ``setup()`` (a new layout), on sensitive inserts (the
+        scheme's owner metadata and the bins' ciphertexts change), and when
+        :meth:`build_requests` finds the layout's location maps rebuilt in
+        place (the incremental inserter placed a new value).
         """
-        if cap is not None:
-            if cap <= 0:
-                return
-            if len(cache) >= cap:
-                cache.pop(next(iter(cache)))
-        cache[key] = value
+        self._decisions.clear()
+        self._token_cache.clear()
+        self._request_cache.clear()
+        self._decrypted_bin_cache.clear()
+        self._memo_version = self.layout.version if self.layout is not None else None
 
     def _wants_bin_store(self) -> bool:
         """Whether the cloud will use a bin-addressed store for this engine.
@@ -362,6 +338,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self.metadata.layout = self.layout
         self.metadata.strategy = self.plan.strategy
         self.retriever = BinRetriever(self.layout)
+        self._invalidate()
 
         encrypted = self._encrypt_sensitive_rows()
         # The bin assignment feeds the cloud's bin-addressed store and the
@@ -411,9 +388,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
                 bin_assignment,
                 self.shard_router,
             )
-        self._token_cache.clear()
-        self._request_cache.clear()
-        self._decrypted_bin_cache.clear()
         self._outsourced = True
         return self
 
@@ -509,62 +483,35 @@ class QueryBinningEngine(_PartitionedEngineBase):
         return self._execute([value], "sequential")[0]
 
     def _decrypt_bin(
-        self,
-        decrypted: Dict[int, List[Row]],
-        sensitive_bin_index: Optional[int],
-        encrypted_rows: Sequence[EncryptedRow],
+        self, sensitive_bin_index: int, encrypted_rows: Sequence[EncryptedRow]
     ) -> List[Row]:
-        """Decrypt one retrieval's rows, at most once per workload and bin.
-
-        Deduplicated responses share their encrypted row list, so the
-        workload memo ``decrypted`` (keyed by list identity) decrypts each
-        retrieval once.  A sensitive bin's (padded) ciphertext set is fixed
-        between sensitive inserts, so the per-bin plaintext cache carries
-        its decryption across workloads, whichever placement served it.
-        """
-        key = id(encrypted_rows)
-        rows = decrypted.get(key)
-        if rows is not None:
-            return rows
-        if sensitive_bin_index is not None:
-            rows = self._decrypted_bin_cache.get(sensitive_bin_index)
+        """Sensitive bin ``sensitive_bin_index``'s decrypted rows, decrypted
+        at most once between invalidations."""
+        rows = self._decrypted_bin_cache.get(sensitive_bin_index)
         if rows is None:
             rows = self.scheme.decrypt_rows(encrypted_rows)
-            if sensitive_bin_index is not None:
-                self._fifo_put(
-                    self._decrypted_bin_cache,
-                    sensitive_bin_index,
-                    rows,
-                    self._plaintext_cache_bins,
-                )
-        decrypted[key] = rows
+            self._decrypted_bin_cache[sensitive_bin_index] = rows
         return rows
 
-    def tokens_for_decision(self, decision: RetrievalDecision) -> List:
-        """Search tokens for a retrieval decision, cached per sensitive bin.
+    def tokens_for_decision(self, decision: RetrievalDecision) -> Tuple:
+        """Search tokens for a retrieval decision, memoized per sensitive bin.
 
         Every query landing on sensitive bin ``i`` requests the same value
-        set, so its token list is computed once and reused until owner-side
-        scheme metadata changes (setup or a sensitive insert).  The cache
-        holds at most ``token_cache_bins`` bins (FIFO eviction; ``None`` =
-        unbounded, ``0`` disables caching).
+        set, so its token tuple is computed once and shared by all of the
+        bin's requests until the owner memo is invalidated.
         """
         with self._lock:
             if not decision.sensitive_values:
-                return []
+                return ()
             bin_index = decision.sensitive_bin_index
-            if bin_index is None:
-                return self.scheme.tokens_for_values(
-                    list(decision.sensitive_values), self.attribute
-                )
             tokens = self._token_cache.get(bin_index)
             if tokens is None:
-                tokens = self.scheme.tokens_for_values(
-                    list(decision.sensitive_values), self.attribute
+                tokens = tuple(
+                    self.scheme.tokens_for_values(
+                        list(decision.sensitive_values), self.attribute
+                    )
                 )
-                self._fifo_put(
-                    self._token_cache, bin_index, tokens, self._token_cache_bins
-                )
+                self._token_cache[bin_index] = tokens
             return tokens
 
     def request_for_decision(self, decision: RetrievalDecision) -> BatchRequest:
@@ -575,30 +522,20 @@ class QueryBinningEngine(_PartitionedEngineBase):
         :class:`BatchRequest` object is reused for every query answered from
         the pair — steady-state queries rewrite with zero tuple building,
         and downstream consumers (the cloud's retrieval interning, the
-        router's candidate memo, the fleet's half splitting) hit their
-        caches by object identity.  The cache keys to the layout version
-        (incremental inserts can grow a bin's value set without a full
-        setup) and is cleared with the token cache; entries are capped at
-        ``token_cache_bins`` (FIFO).
+        fleet's half splitting) hit their caches by object identity.
         """
         with self._lock:
-            assert self.layout is not None
-            if self._request_cache_version != self.layout.version:
-                self._request_cache.clear()
-                self._request_cache_version = self.layout.version
             key = (decision.sensitive_bin_index, decision.non_sensitive_bin_index)
             request = self._request_cache.get(key)
             if request is None:
                 request = BatchRequest(
                     attribute=self.attribute,
-                    cleartext_values=tuple(decision.non_sensitive_values),
-                    tokens=tuple(self.tokens_for_decision(decision)),
+                    cleartext_values=decision.non_sensitive_values,
+                    tokens=self.tokens_for_decision(decision),
                     sensitive_bin_index=decision.sensitive_bin_index,
                     non_sensitive_bin_index=decision.non_sensitive_bin_index,
                 )
-                self._fifo_put(
-                    self._request_cache, key, request, self._token_cache_bins
-                )
+                self._request_cache[key] = request
             return request
 
     def build_requests(
@@ -610,19 +547,28 @@ class QueryBinningEngine(_PartitionedEngineBase):
         decision (``None`` when the value retrieves nothing — such values
         produce no request).  Every query runs through it, whatever its
         placement, and the benchmark harness sends the same request stream.
-        Requests are interned per bin pair (:meth:`request_for_decision`),
-        so a steady-state workload rewrite is a decision memo probe plus a
-        request memo probe per query.
+        Decisions and requests are memoized, so a steady-state workload
+        rewrite is a decision memo probe plus a request memo probe per
+        query.  Values that retrieve nothing are not memoized: values arrive
+        from outside, and the memo must stay bounded by the layout.
         """
         with self._lock:
             self._require_setup()
-            assert self.retriever is not None
+            assert self.layout is not None and self.retriever is not None
+            if self._memo_version != self.layout.version:
+                self._invalidate()
+            decisions = self._decisions
+            retrieve = self.retriever.retrieve
             requests: List[BatchRequest] = []
             slots: List[Optional[RetrievalDecision]] = []
-            for decision in self.retriever.retrieve_many(values):
-                if not decision.retrieves_anything:
-                    slots.append(None)
-                    continue
+            for value in values:
+                decision = decisions.get(value)
+                if decision is None:
+                    decision = retrieve(value)
+                    if not decision.retrieves_anything:
+                        slots.append(None)
+                        continue
+                    decisions[value] = decision
                 requests.append(self.request_for_decision(decision))
                 slots.append(decision)
             return requests, slots
@@ -683,8 +629,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
         with self._lock:
             values = list(values)
             requests, slots = self.build_requests(values)
-            decrypted: Dict[int, List[Row]] = {}
-            responses = iter(self._fetch(placement, requests, decrypted))
+            responses = iter(self._fetch(placement, requests))
 
             # Per-workload grouped-bin memo: a hot bin's rows are indexed by
             # value once, so the per-query merge is two dict probes + a union
@@ -729,7 +674,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
                     continue
                 response = next(responses)
                 sensitive_rows = self._decrypt_bin(
-                    decrypted, decision.sensitive_bin_index, response.encrypted_rows
+                    decision.sensitive_bin_index, response.encrypted_rows
                 )
                 rows = merge_results(
                     query,
@@ -748,10 +693,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
             return results
 
     def _fetch(
-        self,
-        placement: str,
-        requests: List[BatchRequest],
-        decrypted: Dict[int, List[Row]],
+        self, placement: str, requests: List[BatchRequest]
     ) -> List[QueryResponse]:
         """The cloud's responses to ``requests``, in order; the only step
         that depends on the placement."""
@@ -769,16 +711,16 @@ class QueryBinningEngine(_PartitionedEngineBase):
         def decrypt_early(request: BatchRequest, response: QueryResponse) -> None:
             # Runs in the coordinating thread as each member completes,
             # overlapping owner-side decryption with the searches still in
-            # flight on other members.  Fills the same memos the decrypt
-            # loop reads, so nothing is decrypted twice.  Under member
+            # flight on other members.  Fills the per-bin plaintext memo the
+            # decrypt loop reads, so nothing is decrypted twice.  Under member
             # failure the fleet invokes this exactly once per half — for the
             # replica's response, never the crashed attempt's — and a
             # replica's slice holds the same ciphertexts as the primary's,
-            # so the per-bin plaintext cache stays placement-agnostic.
-            # Cleartext halves carry no encrypted rows and are skipped.
+            # so the memo stays placement-agnostic.  Cleartext halves carry
+            # no encrypted rows and are skipped.
             if response.encrypted_rows:
                 self._decrypt_bin(
-                    decrypted, request.sensitive_bin_index, response.encrypted_rows
+                    request.sensitive_bin_index, response.encrypted_rows
                 )
 
         return self.multi_cloud.process_batch(
@@ -822,11 +764,9 @@ class QueryBinningEngine(_PartitionedEngineBase):
                     encrypted, bin_assignment, self.shard_router
                 )
             # Owner metadata changed (address books, occurrence counters):
-            # cached per-bin tokens — the interned requests carrying them —
-            # and the bin's cached plaintexts may now be stale.
-            self._token_cache.clear()
-            self._request_cache.clear()
-            self._decrypted_bin_cache.clear()
+            # memoized tokens, the requests carrying them, and the bin's
+            # plaintexts may now be stale.
+            self._invalidate()
             assert self.metadata is not None
             counts = self.metadata.sensitive_counts
             counts[values[self.attribute]] = counts.get(values[self.attribute], 0) + 1
@@ -855,7 +795,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
         schemes — Arx occurrence counters, address books — evolve
         identically).  The win is amortisation: one
         :meth:`~repro.crypto.base.EncryptedSearchScheme.encrypt_rows` batch,
-        one ``append_sensitive`` shipment, and one owner-cache invalidation
+        one ``append_sensitive`` shipment, and one owner-memo invalidation
         for the whole batch instead of one of each per sensitive row.
         """
         with self._lock:
@@ -902,10 +842,8 @@ class QueryBinningEngine(_PartitionedEngineBase):
                     encrypted, bin_assignment, self.shard_router
                 )
             # Owner metadata changed once for the whole batch; invalidate
-            # the token/request/plaintext caches once to match.
-            self._token_cache.clear()
-            self._request_cache.clear()
-            self._decrypted_bin_cache.clear()
+            # the owner memo once to match.
+            self._invalidate()
 
 
 class NaivePartitionedEngine(_PartitionedEngineBase):

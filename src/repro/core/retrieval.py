@@ -17,7 +17,7 @@ non-sensitive bin and prevents the leakage of Example 4 / Table V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bins import BinLayout
 from repro.exceptions import BinLookupError
@@ -56,36 +56,15 @@ class RetrievalDecision:
 class BinRetriever:
     """Owner-side implementation of Algorithm 2 over a fixed layout.
 
-    Decisions are pure functions of (layout, value), so they are memoised;
-    the cache self-invalidates when the layout's location maps are rebuilt
-    (tracked through ``layout.version``), which the incremental inserter
-    triggers when it places new values.
+    Decisions are pure functions of (layout, value); the engine memoizes
+    them with the rest of its owner memo.
     """
 
     def __init__(self, layout: BinLayout):
         self.layout = layout
-        self._decision_cache: Dict[object, RetrievalDecision] = {}
-        self._cached_layout_version = layout.version
 
     def retrieve(self, value: object) -> RetrievalDecision:
-        """Apply rules R1/R2 to ``value`` and return the (memoised) decision."""
-        if self._cached_layout_version != self.layout.version:
-            self._decision_cache.clear()
-            self._cached_layout_version = self.layout.version
-        try:
-            cached = self._decision_cache.get(value)
-        except TypeError:  # unhashable query value: fall through uncached
-            return self._retrieve_uncached(value)
-        if cached is None:
-            cached = self._retrieve_uncached(value)
-            self._decision_cache[value] = cached
-        return cached
-
-    def retrieve_many(self, values: Iterable[object]) -> List[RetrievalDecision]:
-        """Decisions for a whole workload (batch-rewrite entry point)."""
-        return [self.retrieve(value) for value in values]
-
-    def _retrieve_uncached(self, value: object) -> RetrievalDecision:
+        """Apply rules R1/R2 to ``value`` and return the decision."""
         sensitive_location = self.layout.locate_sensitive(value)
         if sensitive_location is not None:
             bin_index, position = sensitive_location

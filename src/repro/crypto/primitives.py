@@ -57,28 +57,9 @@ class SecretKey:
     def derive(self, purpose: str) -> "SecretKey":
         """Derive an independent sub-key for ``purpose`` (domain separation).
 
-        Derivations are memoised per instance: schemes derive the same
-        ``"row"`` / ``"tag"`` sub-keys on every operation, and the fallback
-        cipher re-derives ``"enc"`` / ``"mac"`` per row, so caching turns a
-        per-row HMAC into a dict probe.  The cache never enters pickles
-        (each side re-derives on demand) and never affects equality, which
-        compares ``material`` only.
+        Schemes derive their sub-keys once, when they are constructed.
         """
-        cache = self.__dict__.get("_derived")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_derived", cache)
-        sub = cache.get(purpose)
-        if sub is None:
-            sub = SecretKey(prf(self.material, purpose.encode()))
-            cache[purpose] = sub
-        return sub
-
-    def __getstate__(self):
-        return {"material": self.material}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "material", state["material"])
+        return SecretKey(prf(self.material, purpose.encode()))
 
     def __repr__(self) -> str:  # avoid leaking key material in logs
         return f"SecretKey(<{len(self.material)} bytes>)"
@@ -186,25 +167,13 @@ def keyed_permutation(items: Sequence[object], key: SecretKey) -> List[object]:
 # Authenticated probabilistic encryption
 # ---------------------------------------------------------------------------
 
-#: Cached AESGCM instances per key material.  Constructing an ``AESGCM``
-#: runs the AES key schedule; schemes encrypt and decrypt thousands of rows
-#: under a handful of long-lived row keys, so the schedule is paid once per
-#: key instead of once per row.  Bounded FIFO (dicts iterate in insertion
-#: order) so pathological many-key workloads cannot grow it without limit.
-_AESGCM_CACHE_MAX = 64
-_aesgcm_cache: dict = {}
-
-
 def _aesgcm_for(material: bytes):
-    """The cached ``AESGCM`` instance for ``material`` (first 32 bytes)."""
-    aes_key = material[:32]
-    cipher = _aesgcm_cache.get(aes_key)
-    if cipher is None:
-        cipher = AESGCM(aes_key)
-        if len(_aesgcm_cache) >= _AESGCM_CACHE_MAX:
-            _aesgcm_cache.pop(next(iter(_aesgcm_cache)))
-        _aesgcm_cache[aes_key] = cipher
-    return cipher
+    """An ``AESGCM`` cipher keyed by the first 32 bytes of ``material``.
+
+    Building one runs the AES key schedule (a few microseconds), so the
+    batch entry points build one per call, not one per row.
+    """
+    return AESGCM(material[:32])
 
 
 def aead_encrypt(key: SecretKey, plaintext: bytes, associated_data: bytes = b"") -> bytes:
@@ -247,7 +216,7 @@ def encrypt_many(
     Ciphertexts are format-identical to the scalar path (header byte,
     embedded per-item nonce) — a batch-encrypted blob decrypts through
     either entry point.  The batch draws all nonces in a single
-    ``os.urandom`` call and reuses the cached cipher object for every item.
+    ``os.urandom`` call and uses one cipher object for every item.
     """
     plaintexts = list(plaintexts)
     if not plaintexts:
@@ -263,7 +232,7 @@ def encrypt_many(
             offset += NONCE_BYTES
             append(b"\x01" + nonce + encrypt(nonce, plaintext, associated_data))
         return out
-    for plaintext in plaintexts:  # sub-key derivations are memoised on `key`
+    for plaintext in plaintexts:
         nonce = nonces[offset : offset + NONCE_BYTES]
         offset += NONCE_BYTES
         append(b"\x02" + nonce + _fallback_encrypt(key, nonce, plaintext, associated_data))

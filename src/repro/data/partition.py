@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence
 
 from repro.data.relation import Relation, Row
@@ -109,7 +108,6 @@ def rendezvous_order(item: object, members: Collection[int]) -> tuple:
     )
 
 
-@lru_cache(maxsize=4096)
 def replica_chain(
     primary: int, num_shards: int, replication_factor: int
 ) -> tuple:
@@ -118,14 +116,11 @@ def replica_chain(
     The chain is the primary followed by its successors on the member ring —
     a pure function of ``(primary, num_shards, replication_factor)``, so
     replica placement is as deterministic (and as rebuild-safe) as primary
-    placement — which also makes it safely memoisable: batch planning calls
-    this once per request half, and the key space is tiny (members ×
-    replication factors), so the cache turns ring construction into a dict
-    probe on the hot routing path.  Keeping replicas *contiguous after the
-    primary* is what lets the shard router carve the ring into a token
-    segment and a cleartext segment per sensitive bin: every replica stays
-    inside the token segment, so replication can never co-locate a bin's
-    token slice with its paired cleartext traffic (see
+    placement.  Keeping replicas *contiguous after the primary* is what
+    lets the shard router carve the ring into a token segment and a
+    cleartext segment per sensitive bin: every replica stays inside the
+    token segment, so replication can never co-locate a bin's token slice
+    with its paired cleartext traffic (see
     :class:`repro.cloud.multi_cloud.ShardRouter`).
     """
     if replication_factor < 1:

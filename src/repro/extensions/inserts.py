@@ -89,34 +89,38 @@ class IncrementalInserter:
             raise ConfigurationError(
                 f"insert is missing the binned attribute {attribute!r}"
             )
-        self._sync_layout()
-        layout = self.engine.layout
-        assert layout is not None
+        # Placing a new value rebuilds the layout's location maps in place;
+        # a query running meanwhile would see them empty, so the whole
+        # insert holds the engine lock.
+        with self.engine._lock:
+            self._sync_layout()
+            layout = self.engine.layout
+            assert layout is not None
 
-        known = (
-            layout.locate_sensitive(value) is not None
-            if sensitive
-            else layout.locate_non_sensitive(value) is not None
-        )
-        if known:
+            known = (
+                layout.locate_sensitive(value) is not None
+                if sensitive
+                else layout.locate_non_sensitive(value) is not None
+            )
+            if known:
+                self.engine.insert(values, sensitive=sensitive)
+                self.stats.existing_value_inserts += 1
+                return
+
+            placed = self._place_new_value(value, sensitive)
+            if placed:
+                self.engine.insert(values, sensitive=sensitive)
+                self.stats.new_value_in_place += 1
+                self._new_values_since_rebin += 1
+                if self._new_values_since_rebin >= self.rebin_threshold:
+                    self.rebin()
+                return
+
+            # No capacity left: rebuild the layout from the current data and
+            # then perform the insert (the rebuilt layout always has room).
             self.engine.insert(values, sensitive=sensitive)
-            self.stats.existing_value_inserts += 1
-            return
-
-        placed = self._place_new_value(value, sensitive)
-        if placed:
-            self.engine.insert(values, sensitive=sensitive)
-            self.stats.new_value_in_place += 1
-            self._new_values_since_rebin += 1
-            if self._new_values_since_rebin >= self.rebin_threshold:
-                self.rebin()
-            return
-
-        # No capacity left: rebuild the layout from the current data and then
-        # perform the insert (the rebuilt layout always has room).
-        self.engine.insert(values, sensitive=sensitive)
-        self.stats.new_value_rebins += 1
-        self.rebin()
+            self.stats.new_value_rebins += 1
+            self.rebin()
 
     def rebin(self) -> None:
         """Rebuild bins from the engine's current partition and re-outsource.
@@ -136,14 +140,15 @@ class IncrementalInserter:
         member has, by definition, replaced it); a member that is in fact
         still down is re-detected by the next batch's failover machinery.
         """
-        self.engine.cloud.reset_observations()
-        if self.engine.multi_cloud is not None:
-            self.engine.multi_cloud.reset_observations()
-            self.engine.multi_cloud.mark_all_recovered()
-        self.engine.setup()
-        self.stats.rebins_triggered += 1
-        self._new_values_since_rebin = 0
-        self._counted_layout = self.engine.layout
+        with self.engine._lock:
+            self.engine.cloud.reset_observations()
+            if self.engine.multi_cloud is not None:
+                self.engine.multi_cloud.reset_observations()
+                self.engine.multi_cloud.mark_all_recovered()
+            self.engine.setup()
+            self.stats.rebins_triggered += 1
+            self._new_values_since_rebin = 0
+            self._counted_layout = self.engine.layout
 
     # -- placement ---------------------------------------------------------------
     def _place_new_value(self, value: object, sensitive: bool) -> bool:

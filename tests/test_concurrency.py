@@ -4,8 +4,9 @@ Each test here reproduces a specific unsynchronized-mutation bug the
 locking sweep fixed; they fail (flakily but reliably under enough
 iterations) if the corresponding lock is removed:
 
-- engine caches (``_token_cache``, ``_request_cache``, the plaintext bin
-  cache) cleared by inserts mid-query → the engine lock;
+- the engine's owner memo cleared by inserts mid-query → the engine lock;
+- the layout's location maps rebuilt in place by the incremental inserter
+  mid-query → the engine lock, held by the inserter;
 - ``CloudServer`` observation state (query ids, view log, half-level
   caches) interleaved by concurrent serves → the server lock;
 - ``NetworkModel`` counters bumped from fleet worker threads → the
@@ -13,7 +14,9 @@ iterations) if the corresponding lock is removed:
 """
 
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.cloud.server import CloudServer
 from repro.core.engine import QueryBinningEngine
 from repro.crypto.deterministic import DeterministicScheme
 from repro.crypto.primitives import SecretKey
+from repro.extensions.inserts import IncrementalInserter
+from repro.workloads.generator import generate_partitioned_dataset
 
 
 @pytest.fixture
@@ -95,6 +100,87 @@ class TestEngineMutateWhileQuery:
         # the inserted rows are all present once the dust settles
         final = sorted(row.rid for row in engine.query(target))
         assert len(final) == len(baseline[target]) + num_inserts
+
+
+class TestInPlaceInsertWhileQuery:
+    """Satellite pin: placing a new value rebuilds the layout's location
+    maps in place; a query that ran in between saw them empty and answered
+    ``[]`` for values that have rows."""
+
+    def test_queries_stay_exact_while_new_values_are_placed(self):
+        # a private dataset: the inserts add values, which must not leak
+        # into the session-scoped fixtures other modules share
+        dataset = generate_partitioned_dataset(
+            num_values=200,
+            sensitivity_fraction=0.5,
+            association_fraction=0.6,
+            tuples_per_value=1,
+            seed=21,
+        )
+        engine = QueryBinningEngine(
+            partition=dataset.partition,
+            attribute=dataset.attribute,
+            scheme=DeterministicScheme(SecretKey.from_passphrase("concurrency-key")),
+            cloud=CloudServer(),
+            rng=random.Random(17),
+        ).setup()
+        values = list(dataset.all_values)
+        baseline = {
+            value: sorted(row.rid for row in engine.query(value)) for value in values
+        }
+        inserter = IncrementalInserter(engine)
+        templates = {
+            True: next(iter(engine.partition.sensitive.rows)),
+            False: next(iter(engine.partition.non_sensitive.rows)),
+        }
+        errors = []
+        mismatches = []
+        stop = threading.Event()
+
+        def querier():
+            try:
+                while not stop.is_set():
+                    for value in values:
+                        rids = sorted(row.rid for row in engine.query(value))
+                        if rids != baseline[value]:
+                            mismatches.append((value, rids))
+                        if stop.is_set():
+                            return
+            except Exception as exc:
+                errors.append(exc)
+
+        def placer():
+            try:
+                deadline = time.monotonic() + 1.0
+                count = 0
+                while time.monotonic() < deadline:
+                    sensitive = count % 2 == 0
+                    new_values = dict(templates[sensitive].values)
+                    new_values[engine.attribute] = f"new-{count}"
+                    inserter.insert(new_values, sensitive=sensitive)
+                    count += 1
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        threads = [
+            threading.Thread(target=querier, daemon=True),
+            threading.Thread(target=placer, daemon=True),
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert inserter.stats.new_value_in_place > 0
+        assert not mismatches, mismatches[:5]
 
 
 class TestCloudServerConcurrentServe:

@@ -133,29 +133,17 @@ class TestShardedAcrossConfigurations:
         assert sorted(r.rid for r in rows) == sorted(r.rid for r in reference)
         assert engine.multi_cloud[owner_index].encrypted_row_count > 0
 
-    def test_plaintext_cache_is_bounded(self, parity_dataset):
-        """The owner's per-bin plaintext cache respects its FIFO cap."""
-        import random
-
-        from repro.cloud.server import CloudServer
-        from repro.core.engine import QueryBinningEngine
-        from repro.crypto.primitives import SecretKey
-
-        engine = QueryBinningEngine(
-            partition=parity_dataset.partition,
-            attribute=parity_dataset.attribute,
-            scheme=DeterministicScheme(SecretKey.from_passphrase("cap-key")),
-            cloud=CloudServer(),
-            rng=random.Random(17),
-            plaintext_cache_bins=2,
-        ).setup()
-        reference = {}
-        for value in parity_dataset.all_values:
-            reference[value] = sorted(r.rid for r in engine.query(value))
-            assert len(engine._decrypted_bin_cache) <= 2
-        # evictions never change results
-        for value in parity_dataset.all_values:
-            assert sorted(r.rid for r in engine.query(value)) == reference[value]
+    def test_plaintext_cache_is_bounded(self, parity_harness):
+        """The owner's per-bin plaintext memo never holds more entries than
+        the layout has sensitive bins, and answers match the oracle."""
+        harness = parity_harness(DeterministicScheme)
+        engine = harness.make_engine()
+        expected = harness.oracle_rids()
+        bins = engine.layout.num_sensitive_bins
+        for value in harness.workload():
+            rids = sorted(r.rid for r in engine.query(value))
+            assert rids == expected.get(value, [])
+            assert len(engine._decrypted_bin_cache) <= bins
 
     def test_rebin_resets_fleet_observations_with_reference(self, parity_harness):
         """Re-binning re-outsources everywhere; every store — reference and

@@ -1,11 +1,13 @@
-"""Owner-side cache bounds: token-cache and plaintext-cache FIFO eviction.
+"""The owner memo: its bounds and its invalidation.
 
-The engine keeps three per-bin caches on the query path — search tokens,
-interned requests, and decrypted plaintexts.  These tests pin the cap
-semantics (FIFO eviction at the boundary, ``0`` disables, ``None`` =
-unbounded), prove correctness is unaffected by eviction and recomputation,
-and prove a rebin (the one event that changes what every cache entry means)
-fully invalidates all of them — for all four schemes.
+The engine memoizes four things on the query path — retrieval decisions per
+query value, search tokens per sensitive bin, interned requests per bin
+pair, and decrypted plaintexts per sensitive bin.  No size knob caps them;
+the layout does.  These tests pin that bound (one entry per queried value,
+bin or bin pair, no entry for values outside the layout, no eviction however
+many bin pairs the layout has), prove that a repeated workload is all memo
+hits with correct answers, and prove that a rebin or a sensitive insert
+fully invalidates the memo, for all four schemes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.cloud.multi_cloud import MultiCloud
 from repro.cloud.server import CloudServer
 from repro.core.engine import QueryBinningEngine
 from repro.crypto.arx_index import ArxIndexScheme
@@ -43,14 +46,13 @@ def _make_dataset(seed: int = 7):
     )
 
 
-def _make_engine(dataset, scheme_factory, **caps) -> QueryBinningEngine:
+def _make_engine(dataset, scheme_factory) -> QueryBinningEngine:
     engine = QueryBinningEngine(
         partition=dataset.partition,
         attribute=dataset.attribute,
         scheme=scheme_factory(SecretKey.from_passphrase("cache-tests")),
         cloud=CloudServer(),
         rng=random.Random(3),
-        **caps,
     )
     return engine.setup()
 
@@ -78,76 +80,31 @@ def _values_in_distinct_sensitive_bins(engine, count: int) -> List[object]:
     raise AssertionError(f"layout has fewer than {count} non-empty sensitive bins")
 
 
+def _layout_values(engine) -> set:
+    return set(engine.layout.sensitive_values) | set(engine.layout.non_sensitive_values)
+
+
+def _count_calls(monkeypatch, obj, name: str, calls: Dict[str, int]) -> None:
+    """Count the calls to ``obj.<name>`` in ``calls[name]``."""
+    inner = getattr(obj, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counting)
+
+
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
-class TestCacheCapBoundary:
-    def test_fifo_eviction_at_cap(self, scheme_name):
-        """With cap=2, the third distinct bin evicts the first-inserted one —
-        and every query stays correct through eviction and recomputation."""
+class TestMemoBoundedByLayout:
+    def test_every_queried_bin_keeps_its_entry(self, scheme_name):
+        """Querying every non-empty sensitive bin leaves one token tuple and
+        one plaintext list per bin and evicts none: re-querying the first
+        bin reuses its entries."""
         dataset = _make_dataset()
-        engine = _make_engine(
-            dataset,
-            SCHEMES[scheme_name],
-            token_cache_bins=2,
-            plaintext_cache_bins=2,
-        )
-        value_a, value_b, value_c = _values_in_distinct_sensitive_bins(engine, 3)
-        bins = {
-            value: engine.retriever.retrieve(value).sensitive_bin_index
-            for value in (value_a, value_b, value_c)
-        }
-
-        for value in (value_a, value_b):
-            assert sorted(r.rid for r in engine.query(value)) == _expected_rids(
-                dataset, value
-            )
-        assert set(engine._token_cache) == {bins[value_a], bins[value_b]}
-        assert set(engine._decrypted_bin_cache) == {bins[value_a], bins[value_b]}
-
-        # third bin crosses the cap: FIFO drops value_a's bin
-        assert sorted(r.rid for r in engine.query(value_c)) == _expected_rids(
-            dataset, value_c
-        )
-        assert set(engine._token_cache) == {bins[value_b], bins[value_c]}
-        assert set(engine._decrypted_bin_cache) == {bins[value_b], bins[value_c]}
-        assert len(engine._request_cache) <= 2  # same cap bounds the requests
-
-        # a hit does not evict; re-querying the evicted bin recomputes
-        # correctly and evicts the now-oldest entry
-        assert sorted(r.rid for r in engine.query(value_b)) == _expected_rids(
-            dataset, value_b
-        )
-        assert sorted(r.rid for r in engine.query(value_a)) == _expected_rids(
-            dataset, value_a
-        )
-        assert set(engine._token_cache) == {bins[value_c], bins[value_a]}
-        assert set(engine._decrypted_bin_cache) == {bins[value_c], bins[value_a]}
-
-    def test_cap_zero_disables_caching(self, scheme_name):
-        dataset = _make_dataset()
-        engine = _make_engine(
-            dataset,
-            SCHEMES[scheme_name],
-            token_cache_bins=0,
-            plaintext_cache_bins=0,
-        )
-        for value in _values_in_distinct_sensitive_bins(engine, 3):
-            assert sorted(r.rid for r in engine.query(value)) == _expected_rids(
-                dataset, value
-            )
-        assert engine._token_cache == {}
-        assert engine._request_cache == {}
-        assert engine._decrypted_bin_cache == {}
-
-    def test_cap_none_is_unbounded(self, scheme_name):
-        dataset = _make_dataset()
-        engine = _make_engine(
-            dataset,
-            SCHEMES[scheme_name],
-            token_cache_bins=None,
-            plaintext_cache_bins=None,
-        )
+        engine = _make_engine(dataset, SCHEMES[scheme_name])
         values = _values_in_distinct_sensitive_bins(
-            engine, engine.layout.num_sensitive_bins
+            engine, sum(1 for bin_ in engine.layout.sensitive_bins if bin_.values)
         )
         for value in values:
             assert sorted(r.rid for r in engine.query(value)) == _expected_rids(
@@ -155,36 +112,58 @@ class TestCacheCapBoundary:
             )
         assert len(engine._token_cache) == len(values)
         assert len(engine._decrypted_bin_cache) == len(values)
+        assert len(engine._request_cache) == len(engine._decisions) == len(values)
 
-    def test_eviction_matches_uncapped_results(self, scheme_name):
-        """A thrashing cap (1) and an unbounded cache answer a mixed workload
-        identically — eviction can only cost recomputation, never rows."""
+        first = engine.retriever.retrieve(values[0]).sensitive_bin_index
+        tokens, rows = engine._token_cache[first], engine._decrypted_bin_cache[first]
+        assert isinstance(tokens, tuple)
+        engine.query(values[0])
+        assert engine._token_cache[first] is tokens
+        assert engine._decrypted_bin_cache[first] is rows
+
+    @pytest.mark.parametrize("placement", ["sequential", "batched", "sharded"])
+    def test_repeat_workload_is_all_hits_within_layout_bounds(
+        self, scheme_name, placement, monkeypatch
+    ):
+        """Tokens and plaintexts are computed once per sensitive bin; a
+        shuffled repeat salted with unknown values computes none, answers as
+        the partitions say, and leaves every memo within the layout's count
+        of values, sensitive bins, or bin pairs."""
         dataset = _make_dataset()
-        capped = _make_engine(
-            dataset,
-            SCHEMES[scheme_name],
-            token_cache_bins=1,
-            plaintext_cache_bins=1,
-        )
-        unbounded = _make_engine(
-            dataset,
-            SCHEMES[scheme_name],
-            token_cache_bins=None,
-            plaintext_cache_bins=None,
-        )
-        workload = list(dataset.all_values) * 2
+        engine = QueryBinningEngine(
+            partition=dataset.partition,
+            attribute=dataset.attribute,
+            scheme=SCHEMES[scheme_name](SecretKey.from_passphrase("cache-tests")),
+            cloud=CloudServer(),
+            rng=random.Random(3),
+            multi_cloud=MultiCloud(2),
+        ).setup()
+        calls = {"tokens_for_values": 0, "decrypt_rows": 0}
+        for name in calls:
+            _count_calls(monkeypatch, engine.scheme, name, calls)
+
+        workload = list(dataset.all_values)
+        engine.execute_workload(workload, placement)
+        assert calls["tokens_for_values"] == len(engine._token_cache) > 0
+        assert calls["decrypt_rows"] == len(engine._decrypted_bin_cache) > 0
+
+        calls.update(tokens_for_values=0, decrypt_rows=0)
+        workload = workload * 2 + [f"unknown-{i}" for i in range(40)]
         random.Random(23).shuffle(workload)
-        capped_rows = [
+        answers = [
             sorted(r.rid for r in rows)
-            for rows, _ in capped.execute_workload_with_rows(workload)
+            for rows, _ in engine.execute_workload_with_rows(workload, placement)
         ]
-        unbounded_rows = [
-            sorted(r.rid for r in rows)
-            for rows, _ in unbounded.execute_workload_with_rows(workload)
-        ]
-        assert capped_rows == unbounded_rows
-        assert len(capped._token_cache) <= 1
-        assert len(capped._decrypted_bin_cache) <= 1
+        assert answers == [_expected_rids(dataset, value) for value in workload]
+        assert calls == {"tokens_for_values": 0, "decrypt_rows": 0}
+
+        layout = engine.layout
+        assert len(engine._decisions) <= len(_layout_values(engine))
+        assert len(engine._token_cache) <= layout.num_sensitive_bins
+        assert len(engine._decrypted_bin_cache) <= layout.num_sensitive_bins
+        assert len(engine._request_cache) <= (
+            layout.num_sensitive_bins * layout.num_non_sensitive_bins
+        )
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
@@ -230,3 +209,43 @@ class TestRebinInvalidation:
 
         rows = sorted(r.rid for r in engine.query(value))
         assert rows == _expected_rids(dataset, value)
+
+
+class TestMemoBounds:
+    def test_decision_memo_skips_values_outside_the_layout(self):
+        """Query values arrive from outside; one that retrieves nothing
+        must not leave an entry, or distinct unknown values would grow the
+        memo without bound."""
+        dataset = generate_partitioned_dataset(
+            num_values=100,
+            sensitivity_fraction=0.5,
+            association_fraction=0.6,
+            tuples_per_value=1,
+            seed=5,
+        )
+        engine = _make_engine(dataset, DeterministicScheme)
+        for value in dataset.all_values:
+            engine.query(value)
+        for i in range(10_000):
+            assert engine.query(f"unknown-{i}") == []
+        assert 0 < len(engine._decisions) <= len(_layout_values(engine))
+
+    def test_requests_stay_interned_past_1024_bin_pairs(self):
+        """Every bin pair keeps its interned request, however many pairs
+        the layout has: here 45 x 45 = 2,025."""
+        dataset = generate_partitioned_dataset(
+            num_values=2500,
+            sensitivity_fraction=0.5,
+            association_fraction=0.6,
+            tuples_per_value=1,
+            seed=3,
+        )
+        engine = _make_engine(dataset, DeterministicScheme)
+        layout = engine.layout
+        assert layout.num_sensitive_bins * layout.num_non_sensitive_bins > 1024
+        values = list(dataset.all_values)
+        first, _ = engine.build_requests(values)
+        second, _ = engine.build_requests(values)
+        assert len(first) == len(second) == len(values)
+        identical = sum(a is b for a, b in zip(first, second))
+        assert identical == len(values)

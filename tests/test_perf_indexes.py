@@ -260,10 +260,8 @@ class TestCloudHotPathFixes:
         engine = build_engine(dataset, DeterministicScheme, True)
         server = engine.cloud
         snapshot = server.stored_encrypted_rows
-        assert server.stored_encrypted_rows is snapshot
         template = next(iter(engine.partition.sensitive.rows))
         extra = engine.scheme.encrypt_rows([template], engine.attribute)
         server.append_sensitive(extra)
         refreshed = server.stored_encrypted_rows
-        assert refreshed is not snapshot
         assert len(refreshed) == len(snapshot) + 1
