@@ -1193,8 +1193,8 @@ class MultiCloud:
 
         Zero for thread-backed fleets (no serialisation happens); for the
         process backend this is the serialisation cost of the whole workload
-        since the last ``reset_observations`` — frame headers, pickled
-        requests/replies, and out-of-band buffers in both directions.
+        since the last ``reset_observations`` — the pickled requests and
+        replies in both directions, without the pipe's own length prefixes.
         """
         return sum(
             getattr(server.network, "wire_bytes", 0) for server in self.servers

@@ -45,17 +45,13 @@ Design
   retry/failover path, and the proxy *abandons* the worker — kills it and
   marks itself closed — because a late reply could no longer be matched to
   its request without desynchronising the pipe protocol.
-* **Framed wire format.**  Messages cross the pipe as length-prefixed
-  frames (:class:`FrameChannel`) instead of ``Connection.send``'s implicit
-  pickling: the payload is pickled once with protocol 5 and a
-  ``buffer_callback``, so :class:`pickle.PickleBuffer`-backed values travel
-  out-of-band without an extra copy, and the receiver reads into a reusable
-  scratch buffer with ``recv_bytes_into`` instead of allocating a fresh
-  ``bytes`` per reply.  Large frames are chunked (``WIRE_CHUNK_BYTES``) so
-  a single huge pipe message never has to materialise on either side.  The
-  channel counts the real bytes it moves in both directions; the proxy
-  mirrors that total into ``network.wire_bytes`` so benchmarks can report
-  serialisation cost next to the simulated transfer model.
+* **Framed wire format.**  Messages cross the pipe as frames
+  (:class:`FrameChannel`) instead of ``Connection.send``'s implicit
+  pickling: a frame is the message pickled once with protocol 5 and moved
+  in one ``send_bytes`` call, whose own length prefix is the frame's only
+  header.  The channel counts the bytes it moves in both directions; the
+  proxy mirrors that total into ``network.wire_bytes`` so benchmarks can
+  report serialisation cost next to the simulated transfer model.
 * **Version handshake.**  The first thing a worker writes is a fixed-size
   hello frame carrying the wire magic, wire-format version, and pickle
   protocol.  The proxy validates it before the first RPC and fails loudly
@@ -89,37 +85,25 @@ from repro.cloud.server import (
 )
 from repro.crypto.base import EncryptedSearchScheme
 from repro.data.relation import Row
-from repro.exceptions import (
-    FrameTooLargeError,
-    MemberFailure,
-    MemberTimeout,
-    ProcessMemberError,
-)
+from repro.exceptions import MemberFailure, MemberTimeout, ProcessMemberError
 
 _SHUTDOWN = None  # sentinel message ending the worker loop
 
 # -- wire format ------------------------------------------------------------------
 #: Magic bytes opening the handshake frame ("Repro QB Wire").
 WIRE_MAGIC = b"RQBW"
-#: Version of the frame layout below.  Bump on any incompatible change.
-WIRE_VERSION = 1
-#: Pickle protocol frames are encoded with.  Protocol 5 adds out-of-band
-#: buffer support (:class:`pickle.PickleBuffer`), which is what lets large
-#: binary payloads skip the in-band copy.
+#: Version of the frame layout: one transport message per pickled message.
+#: Bump on any incompatible change.
+WIRE_VERSION = 2
+#: Pickle protocol frames are encoded with; the hello pins it so both ends
+#: agree.
 WIRE_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-#: Maximum bytes per pipe message.  Frames larger than this are split so
-#: neither side ever has to stage one huge OS-level write/read.
-WIRE_CHUNK_BYTES = 1 << 20
 #: How long the proxy waits for the worker's hello frame.  Deliberately
 #: independent of ``rpc_timeout`` — tests pin tiny RPC deadlines to provoke
 #: :class:`~repro.exceptions.MemberTimeout`, and process startup (fork +
 #: server construction) must not race those.
 HANDSHAKE_TIMEOUT = 10.0
 
-#: Frame header: total pickled-payload length, out-of-band buffer count.
-_FRAME_HEADER = struct.Struct("<QI")
-#: One per out-of-band buffer, appended to the frame header: buffer length.
-_BUFFER_LENGTH = struct.Struct("<Q")
 #: Handshake frame: magic, wire version, pickle protocol.
 _HELLO = struct.Struct("<4sHH")
 
@@ -155,41 +139,24 @@ def _check_hello(blob: bytes, peer: str) -> None:
 
 
 class FrameChannel:
-    """Length-prefixed, chunked pickle-5 framing over a multiprocessing pipe.
+    """Pickle-5 frames over a ``Connection``-shaped transport.
 
-    ``Connection.send`` pickles with the default protocol and always ships
-    one monolithic in-band blob.  This channel instead pickles once with
-    protocol 5 and a ``buffer_callback`` — values wrapped in
-    :class:`pickle.PickleBuffer` travel as separate out-of-band buffers with
-    no intermediate copy — and moves everything as explicit byte frames:
+    One frame is one transport message: :meth:`send_message` pickles the
+    object once with protocol 5 and hands the payload to the transport's
+    ``send_bytes``; :meth:`recv_message` unpickles what one ``recv_bytes``
+    returns.  The transport owns the frame's only header — a
+    ``multiprocessing`` pipe's own length prefix, or the service socket's
+    ``u32 length | u32 crc32`` (:class:`~repro.service.protocol.SocketConnection`,
+    which also enforces the service's frame cap).
 
-    ``header | payload chunks | buffer chunks``
-
-    where the header packs the payload length, the out-of-band buffer count,
-    and each buffer's length.  Chunks are at most :data:`WIRE_CHUNK_BYTES`
-    each.  On receive, the payload lands in a reusable scratch
-    ``bytearray`` via ``recv_bytes_into`` (grown geometrically, never
-    shrunk), so steady-state RPC traffic allocates no per-reply payload
-    buffer; ``pickle.loads`` copies what it keeps, which is what makes
-    reusing the scratch safe.
-
-    ``bytes_sent`` / ``bytes_received`` count every transported byte
-    (headers included) and only ever grow — proxies baseline them to expose
-    per-epoch deltas as ``network.wire_bytes``.
-
-    ``max_frame_bytes`` (``None`` = unlimited, the right default for the
-    trusted in-process pipe) caps what one frame may carry, *enforced
-    before allocation on receive and before the first byte on send* — an
-    adversarial or corrupted header announcing a huge payload raises
-    :class:`~repro.exceptions.FrameTooLargeError` instead of committing
-    the receiver to the allocation; an oversized outbound message fails
-    cleanly with no partial frame on the wire.  The service wire sets it.
+    ``bytes_sent`` / ``bytes_received`` count the hello and payload bytes
+    the channel moves (transport headers excluded) and only ever grow —
+    proxies baseline them to expose per-epoch deltas as
+    ``network.wire_bytes``.
     """
 
-    def __init__(self, connection, max_frame_bytes: Optional[int] = None):
+    def __init__(self, connection):
         self._connection = connection
-        self._scratch = bytearray(WIRE_CHUNK_BYTES)
-        self.max_frame_bytes = max_frame_bytes
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -206,94 +173,16 @@ class FrameChannel:
 
     # -- frames -------------------------------------------------------------------
     def send_message(self, obj) -> None:
-        buffers: List[pickle.PickleBuffer] = []
-        payload = pickle.dumps(
-            obj, protocol=WIRE_PICKLE_PROTOCOL, buffer_callback=buffers.append
-        )
-        raws = [buffer.raw() for buffer in buffers]
-        if self.max_frame_bytes is not None:
-            total = len(payload) + sum(raw.nbytes for raw in raws)
-            if total > self.max_frame_bytes:
-                for raw in raws:
-                    raw.release()
-                raise FrameTooLargeError(
-                    f"outbound frame of {total} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte cap; nothing was sent"
-                )
-        header = bytearray(_FRAME_HEADER.pack(len(payload), len(raws)))
-        for raw in raws:
-            header += _BUFFER_LENGTH.pack(raw.nbytes)
-        send_bytes = self._connection.send_bytes
-        send_bytes(header)
-        sent = len(header)
-        with memoryview(payload) as view:
-            for offset in range(0, len(payload), WIRE_CHUNK_BYTES):
-                send_bytes(view[offset : offset + WIRE_CHUNK_BYTES])
-        sent += len(payload)
-        for raw in raws:
-            for offset in range(0, raw.nbytes, WIRE_CHUNK_BYTES):
-                send_bytes(raw[offset : offset + WIRE_CHUNK_BYTES])
-            sent += raw.nbytes
-            raw.release()
-        self.bytes_sent += sent
-
-    def _recv_exactly(self, buffer: bytearray, length: int) -> None:
-        recv_into = self._connection.recv_bytes_into
-        offset = 0
-        while offset < length:
-            offset += recv_into(buffer, offset)
+        payload = pickle.dumps(obj, protocol=WIRE_PICKLE_PROTOCOL)
+        self._connection.send_bytes(payload)
+        self.bytes_sent += len(payload)
 
     def recv_message(self):
-        header = self._connection.recv_bytes()
-        if len(header) < _FRAME_HEADER.size:
-            raise ProcessMemberError(
-                f"malformed wire frame header ({len(header)} bytes)"
-            )
-        payload_length, buffer_count = _FRAME_HEADER.unpack_from(header, 0)
-        expected = _FRAME_HEADER.size + buffer_count * _BUFFER_LENGTH.size
-        if len(header) != expected:
-            raise ProcessMemberError(
-                f"malformed wire frame header ({len(header)} bytes for "
-                f"{buffer_count} buffers, expected {expected})"
-            )
-        if self.max_frame_bytes is not None:
-            announced = payload_length + sum(
-                _BUFFER_LENGTH.unpack_from(
-                    header, _FRAME_HEADER.size + position * _BUFFER_LENGTH.size
-                )[0]
-                for position in range(buffer_count)
-            )
-            if announced > self.max_frame_bytes:
-                # refuse BEFORE the allocation: a hostile length prefix
-                # must cost the peer its connection, not the host an OOM
-                raise FrameTooLargeError(
-                    f"inbound frame announces {announced} bytes, above the "
-                    f"{self.max_frame_bytes}-byte cap; refusing to allocate"
-                )
-        scratch = self._scratch
-        if len(scratch) < payload_length:
-            self._scratch = scratch = bytearray(
-                max(payload_length, 2 * len(scratch))
-            )
-        self._recv_exactly(scratch, payload_length)
-        received = len(header) + payload_length
-        oob: List[bytearray] = []
-        for position in range(buffer_count):
-            (length,) = _BUFFER_LENGTH.unpack_from(
-                header, _FRAME_HEADER.size + position * _BUFFER_LENGTH.size
-            )
-            buffer = bytearray(length)
-            self._recv_exactly(buffer, length)
-            oob.append(buffer)
-            received += length
-        self.bytes_received += received
-        with memoryview(scratch) as view:
-            return pickle.loads(view[:payload_length], buffers=oob)
+        payload = self._connection.recv_bytes()
+        self.bytes_received += len(payload)
+        return pickle.loads(payload)
 
     # -- plumbing -----------------------------------------------------------------
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        return self._connection.poll(timeout)
-
     def close(self) -> None:
         self._connection.close()
 
@@ -339,8 +228,8 @@ def _worker_main(connection, server_factory, server_kwargs) -> None:
         except (EOFError, OSError):
             break
         except Exception:
-            # Undecodable frame: the stream can no longer be trusted to be
-            # aligned on frame boundaries, so stop serving.
+            # Undecodable frame: the peer is not speaking this protocol,
+            # so stop serving.
             break
         if message is _SHUTDOWN or message is None:
             break

@@ -6,7 +6,6 @@ the paper discusses:
 
 * non-deterministic (probabilistic) encryption — AES-GCM (`nondeterministic`),
 * deterministic encryption — HMAC-based (`deterministic`),
-* order-preserving encoding — for attack demonstrations (`ope`),
 * searchable symmetric encryption — PRF-token search (`searchable`),
 * Arx-style indexable encryption — value‖counter ciphertexts (`arx_index`),
 * secret sharing — Shamir and additive shares over a prime field
@@ -31,7 +30,6 @@ from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.crypto.deterministic import DeterministicScheme
 from repro.crypto.searchable import SSEScheme
 from repro.crypto.arx_index import ArxIndexScheme
-from repro.crypto.ope import OrderPreservingEncoder
 from repro.crypto.secret_sharing import (
     AdditiveSecretSharing,
     ShamirSecretSharing,
@@ -55,7 +53,6 @@ __all__ = [
     "DeterministicScheme",
     "SSEScheme",
     "ArxIndexScheme",
-    "OrderPreservingEncoder",
     "ShamirSecretSharing",
     "AdditiveSecretSharing",
     "SecretSharingScheme",

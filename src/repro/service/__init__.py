@@ -32,7 +32,6 @@ from repro.service.protocol import (
     ServiceRequest,
     ServiceResponse,
     SocketConnection,
-    make_channel,
 )
 from repro.service.server import EncryptedSearchService
 from repro.service.tenants import (
@@ -56,7 +55,6 @@ __all__ = [
     "SERVICE_OPS",
     "MUTATING_OPS",
     "DEFAULT_MAX_MESSAGE_BYTES",
-    "make_channel",
     "ChaosScenario",
     "ChaosScript",
     "ChaosEvent",

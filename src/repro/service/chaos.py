@@ -16,8 +16,8 @@ Fault kinds, and what each one proves when parity still holds:
     The connection closes before the request is sent.  Proves the client
     reconnects and replays, and that a replayed request is not lost.
 ``truncate``
-    The frame's socket message announces its full length but only a prefix
-    of the bytes arrives before the connection closes.  Proves the server's
+    The frame announces its full length but only a prefix of its payload
+    arrives before the connection closes.  Proves the server's
     reader survives mid-frame EOF without leaking its thread or slot.
 ``stall``
     The frame pauses mid-send (slow-loris shape) and then completes.
@@ -43,7 +43,6 @@ import random
 import socket
 import threading
 import time
-import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -197,15 +196,14 @@ class ChaosScenario:
         calls when constructed with ``chaos=scenario``."""
         script = self.next_script()
         transport = ChaosConnection(sock, max_message_bytes=max_message_bytes)
-        channel = ChaosChannel(transport, script, max_frame_bytes=max_message_bytes)
-        return transport, channel
+        return transport, ChaosChannel(transport, script)
 
 
 class ChaosConnection(SocketConnection):
-    """A :class:`SocketConnection` with armable byte-level faults.
+    """A :class:`SocketConnection` that faults the next frame it sends.
 
-    The channel above arms exactly one fault, sends, and disarms; the
-    connection implements what each fault looks like *on the socket*:
+    The channel above arms one event; the connection implements what it
+    looks like *on the socket*, on the bytes of the one encoded frame:
     truncation really leaves a half-announced message behind, corruption
     really flips a bit after the CRC was computed, a stall really parks
     mid-message.  Receive-side behaviour is untouched — the server's
@@ -214,62 +212,37 @@ class ChaosConnection(SocketConnection):
 
     def __init__(self, sock: socket.socket, **kwargs):
         super().__init__(sock, **kwargs)
-        self._corrupt_sends = False
-        self._truncate_keep: Optional[int] = None
-        self._stall_seconds: Optional[float] = None
+        self._armed: Optional[ChaosEvent] = None
 
-    # -- arming (one-shot unless noted) -------------------------------------------
-    def arm_corrupt(self) -> None:
-        """Corrupt every outgoing socket message until :meth:`disarm`."""
-        self._corrupt_sends = True
+    def arm(self, event: ChaosEvent) -> None:
+        """Fault the next frame with a ``truncate``, ``corrupt`` or
+        ``stall`` event (one-shot)."""
+        self._armed = event
 
-    def disarm(self) -> None:
-        self._corrupt_sends = False
-
-    def arm_truncate(self, keep_bytes: int) -> None:
-        """Next socket message: announce fully, send ``keep_bytes``, die."""
-        self._truncate_keep = max(0, int(keep_bytes))
-
-    def arm_stall(self, seconds: float) -> None:
-        """Next socket message: pause mid-payload for ``seconds``."""
-        self._stall_seconds = float(seconds)
-
-    # -- faulted sends ------------------------------------------------------------
     def send_bytes(self, data) -> None:
-        view = memoryview(data)
-        if self._truncate_keep is not None:
-            keep = min(self._truncate_keep, view.nbytes)
-            self._truncate_keep = None
-            # honest header, dishonest body: the receiver is now owed
-            # view.nbytes bytes it will never get
-            header = _MESSAGE_HEADER.pack(view.nbytes, zlib.crc32(view))
-            self._send_all(memoryview(header))
-            if keep:
-                self._send_all(view[:keep])
+        event, self._armed = self._armed, None
+        if event is None:
+            return super().send_bytes(data)
+        frame = memoryview(bytearray(self._encode(data)))
+        body = _MESSAGE_HEADER.size  # offset of the first payload byte
+        middle = body + (frame.nbytes - body) // 2
+        if event.kind == "truncate":
+            # honest header, dishonest body: the receiver is owed bytes it
+            # will never get
+            keep = min(body + max(0, event.keep_bytes), frame.nbytes)
+            self._send_all(frame[:keep])
             self.close()
             raise OSError("chaos: frame truncated mid-send, connection dropped")
-        if self._corrupt_sends:
-            # CRC of the ORIGINAL bytes, then flip one bit: exactly what
-            # in-flight corruption under a correct sender looks like
-            crc = zlib.crc32(view)
-            poisoned = bytearray(view)
-            poisoned[len(poisoned) // 2] ^= 0x01
-            header = _MESSAGE_HEADER.pack(len(poisoned), crc)
-            self._send_all(memoryview(header))
-            self._send_all(memoryview(poisoned))
+        if event.kind == "corrupt":
+            # CRC of the original payload, then one flipped bit: exactly
+            # what in-flight corruption under a correct sender looks like
+            frame[middle] ^= 0x01
+            self._send_all(frame)
             return
-        if self._stall_seconds is not None:
-            seconds = self._stall_seconds
-            self._stall_seconds = None
-            header = _MESSAGE_HEADER.pack(view.nbytes, zlib.crc32(view))
-            self._send_all(memoryview(header))
-            half = view.nbytes // 2
-            if half:
-                self._send_all(view[:half])
-            time.sleep(seconds)
-            self._send_all(view[half:])
-            return
-        super().send_bytes(data)
+        # stall: pause mid-payload, then complete — the slow-loris shape
+        self._send_all(frame[:middle])
+        time.sleep(event.seconds)
+        self._send_all(frame[middle:])
 
 
 class ChaosChannel(FrameChannel):
@@ -278,13 +251,8 @@ class ChaosChannel(FrameChannel):
     plumbing pass through untouched — chaos strikes requests, not the
     handshake, which has its own dedicated failure-mode tests)."""
 
-    def __init__(
-        self,
-        connection: ChaosConnection,
-        script: ChaosScript,
-        max_frame_bytes: Optional[int] = None,
-    ):
-        super().__init__(connection, max_frame_bytes=max_frame_bytes)
+    def __init__(self, connection: ChaosConnection, script: ChaosScript):
+        super().__init__(connection)
         self.script = script
         self._request_index = 0
 
@@ -296,32 +264,15 @@ class ChaosChannel(FrameChannel):
         event = self.script.event_for(index)
         if event is None:
             return super().send_message(obj)
-        connection: ChaosConnection = self._connection
+        # counted before sending: the server may reap a poisoned stream
+        # (and RST us) before the send returns
+        self.script.note(event.kind)
         if event.kind == "drop":
-            self.script.note("drop")
             self.close()
             raise OSError("chaos: connection dropped before send")
         if event.kind == "duplicate":
-            self.script.note("duplicate")
             for _copy in range(max(2, event.copies)):
                 super().send_message(obj)
             return
-        if event.kind == "corrupt":
-            # counted before sending: the server may reap the poisoned
-            # stream (and RST us) before the frame's later messages land
-            self.script.note("corrupt")
-            connection.arm_corrupt()
-            try:
-                super().send_message(obj)
-            finally:
-                connection.disarm()
-            return
-        if event.kind == "truncate":
-            connection.arm_truncate(event.keep_bytes)
-            self.script.note("truncate")
-            super().send_message(obj)  # raises once the prefix is on the wire
-            return
-        # stall: pause mid-frame, then complete — the slow-loris shape
-        connection.arm_stall(event.seconds)
-        self.script.note("stall")
-        return super().send_message(obj)
+        self._connection.arm(event)
+        super().send_message(obj)  # a truncate raises once its prefix is sent

@@ -179,9 +179,7 @@ class ServiceClient:
                 transport = SocketConnection(
                     sock, max_message_bytes=self._max_frame_bytes
                 )
-                channel = FrameChannel(
-                    transport, max_frame_bytes=self._max_frame_bytes
-                )
+                channel = FrameChannel(transport)
             # a server that accepts but never answers the hello must fail
             # the constructor, not park it: bound the handshake reads
             transport.read_timeout = self._handshake_timeout
@@ -266,7 +264,7 @@ class ServiceClient:
                 )
             )
         except FrameTooLargeError:
-            # nothing hit the wire (the channel checks before sending):
+            # nothing hit the wire (the transport checks before sending):
             # the connection is still good, only this request is refused
             with self._pending_lock:
                 self._pending.pop(request_id, None)

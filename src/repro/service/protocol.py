@@ -1,14 +1,14 @@
 """Wire protocol of the encrypted-search service.
 
 The service speaks the *same* frame protocol as the process-member worker
-pipe — :class:`~repro.cloud.process_member.FrameChannel`'s length-prefixed,
-chunked pickle-5 framing, hello handshake included — over a TCP socket
-instead of a multiprocessing pipe.  :class:`SocketConnection` adapts a
-connected socket to the small ``Connection`` surface the channel consumes
-(``send_bytes`` / ``recv_bytes`` / ``recv_bytes_into`` / ``poll`` /
-``close``), so the framing, chunking, out-of-band buffer handling, and
-version negotiation are shared with the fleet's RPC path rather than
-reimplemented.
+pipe — :class:`~repro.cloud.process_member.FrameChannel`'s pickle-5
+frames, hello handshake included — over a TCP socket instead of a
+multiprocessing pipe.  :class:`SocketConnection` adapts a connected socket
+to the small ``Connection`` surface the channel consumes (``send_bytes`` /
+``recv_bytes`` / ``close``), so the framing and version negotiation are
+shared with the fleet's RPC path rather than reimplemented.  One frame is
+one socket message, ``u32 length | u32 crc32 | pickle-5 payload``, sent in
+one write.
 
 On top of the frames travel two message types: :class:`ServiceRequest`
 (tenant, operation, payload, client-chosen request id) and
@@ -17,18 +17,18 @@ an error).  Request ids let one connection pipeline many requests — the
 open-loop load harness depends on that — and responses may arrive in any
 order relative to other requests on the same connection.
 
-Hardening (PR 10)
------------------
-The socket layer no longer trusts the peer or the network:
+Hardening
+---------
+The socket layer does not trust the peer or the network:
 
-* every discrete socket message is ``u32 length | u32 crc32 | payload``; a
-  checksum mismatch raises :class:`~repro.exceptions.FrameCorruptionError`
+* a CRC mismatch raises :class:`~repro.exceptions.FrameCorruptionError`
   and poisons the connection (after a flipped bit the receiver cannot
   prove it is still frame-aligned);
 * an announced length above ``max_message_bytes`` raises
   :class:`~repro.exceptions.FrameTooLargeError` *before* any allocation —
   a hostile length prefix costs the peer its connection, never the server
-  its memory;
+  its memory — and an oversized outbound message fails the same way
+  before its first byte is written;
 * ``read_timeout`` bounds the idle wait for a message's first byte and
   ``message_timeout`` bounds the wall clock from that first byte to the
   message's completion, so both a silent peer and a slow-loris peer (one
@@ -54,7 +54,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.cloud.process_member import FrameChannel
 from repro.exceptions import (
     FrameCorruptionError,
     FrameTooLargeError,
@@ -73,9 +72,7 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_REJECTED = "rejected"
 
-#: u32 length prefix + u32 crc32 framing each discrete socket message (the
-#: socket-level analogue of one pipe message); WIRE_CHUNK_BYTES (1 MiB)
-#: fits comfortably.
+#: u32 length + u32 crc32, the one header of every socket message
 _MESSAGE_HEADER = struct.Struct("<II")
 
 #: Default per-message size cap.  Far above any legitimate service frame
@@ -130,16 +127,15 @@ class ServiceResponse:
 class SocketConnection:
     """A ``multiprocessing.Connection``-shaped adapter over a TCP socket.
 
-    Exposes exactly what :class:`FrameChannel` consumes.  Each
-    ``send_bytes`` ships one discrete message (u32 length + u32 crc32 +
-    bytes); ``recv_bytes_into`` receives the *next* message into the
-    caller's buffer at an offset and returns its length — the contract the
-    channel's ``_recv_exactly`` chunk loop relies on.
+    Exposes what :class:`~repro.cloud.process_member.FrameChannel`
+    consumes.  Each ``send_bytes`` ships one message (u32 length + u32
+    crc32 + bytes) in one write; ``recv_bytes`` returns the next message's
+    bytes once its length passed the cap and its CRC matched.
 
     ``read_timeout`` / ``message_timeout`` / ``send_timeout`` are the
     hardening deadlines documented on the module; ``None`` means wait
-    forever (the pre-PR-10 behaviour, still right for a trusted client
-    blocking on its own pipelined responses).
+    forever (right for a trusted client blocking on its own pipelined
+    responses).
     """
 
     def __init__(
@@ -157,10 +153,9 @@ class SocketConnection:
         self.message_timeout = message_timeout
         self.send_timeout = send_timeout
         self.max_message_bytes = int(max_message_bytes)
-        # latency over throughput for small frames: the channel already
-        # batches its writes into ≤1 MiB chunks, so Nagle only adds delay;
-        # best-effort because the transport also wraps non-TCP sockets
-        # (AF_UNIX socketpairs in tests)
+        # latency over throughput: each frame is already one write, so
+        # Nagle only adds delay; best-effort because the transport also
+        # wraps non-TCP sockets (AF_UNIX socketpairs in tests)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
@@ -184,16 +179,20 @@ class SocketConnection:
         return None if timeout is None else time.monotonic() + timeout
 
     # -- sends --------------------------------------------------------------------
-    def send_bytes(self, data) -> None:
+    def _encode(self, data) -> bytes:
+        """The socket message carrying ``data``: header and payload, ready
+        for one write.  An oversized payload raises
+        :class:`~repro.exceptions.FrameTooLargeError`, so nothing is sent."""
         view = memoryview(data)
         if view.nbytes > self.max_message_bytes:
             raise FrameTooLargeError(
                 f"outbound message of {view.nbytes} bytes exceeds the "
                 f"{self.max_message_bytes}-byte frame cap"
             )
-        header = _MESSAGE_HEADER.pack(view.nbytes, zlib.crc32(view))
-        self._send_all(memoryview(header))
-        self._send_all(view)
+        return _MESSAGE_HEADER.pack(view.nbytes, zlib.crc32(view)) + view
+
+    def send_bytes(self, data) -> None:
+        self._send_all(memoryview(self._encode(data)))
 
     def _send_all(self, view: memoryview) -> None:
         if self.send_timeout is None:
@@ -212,13 +211,13 @@ class SocketConnection:
     def _recv_exact(
         self,
         length: int,
-        buffer=None,
+        buffer,
         offset: int = 0,
         deadline: Optional[float] = None,
         first_byte_timeout: Optional[float] = None,
         midstream: bool = False,
-    ) -> int:
-        """Read exactly ``length`` bytes into ``buffer[offset:]`` (or fresh).
+    ) -> None:
+        """Read exactly ``length`` bytes into ``buffer[offset:]``.
 
         ``first_byte_timeout`` (the idle deadline) applies to the wait for
         the first byte only; ``deadline`` is an absolute monotonic instant
@@ -229,9 +228,6 @@ class SocketConnection:
         ``midstream`` or partway through this read — is a truncated stream
         and fails loudly as :class:`FrameCorruptionError`.
         """
-        if buffer is None:
-            buffer = bytearray(length)
-            offset = 0
         with memoryview(buffer) as view:
             target = view[offset : offset + length]
             read = 0
@@ -251,7 +247,6 @@ class SocketConnection:
                         )
                     raise EOFError("service connection closed by peer")
                 read += count
-        return length
 
     def _recv_header(self) -> Tuple[int, int]:
         """(length, crc32) of the next message; the idle wait happens here."""
@@ -262,7 +257,7 @@ class SocketConnection:
             deadline=self._deadline(self.message_timeout),
             first_byte_timeout=self.read_timeout,
         )
-        length, crc = _MESSAGE_HEADER.unpack(bytes(prefix))
+        length, crc = _MESSAGE_HEADER.unpack(prefix)
         if length > self.max_message_bytes:
             raise FrameTooLargeError(
                 f"inbound message announces {length} bytes, above the "
@@ -287,26 +282,18 @@ class SocketConnection:
             )
         return length
 
-    def recv_bytes(self) -> bytes:
+    def recv_bytes(self) -> bytearray:
         length, crc = self._recv_header()
         buffer = bytearray(length)
         self._recv_checked(length, crc, buffer, 0)
-        return bytes(buffer)
+        return buffer
 
     def recv_bytes_into(self, buffer, offset: int = 0) -> int:
+        """Receive the next message into ``buffer`` at ``offset``; its length."""
         length, crc = self._recv_header()
         return self._recv_checked(length, crc, buffer, offset)
 
     # -- plumbing -----------------------------------------------------------------
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        """Whether a message is ready to read (``select`` on the socket)."""
-        if self._closed:
-            raise OSError("connection is closed")
-        readable, _writable, _errored = select.select(
-            [self._socket], [], [], timeout
-        )
-        return bool(readable)
-
     def close(self) -> None:
         # test-and-set under a lock: concurrent closers (client close() vs
         # receiver-thread failure path, server reader vs stop()) must not
@@ -324,21 +311,3 @@ class SocketConnection:
     @property
     def closed(self) -> bool:
         return self._closed
-
-
-def make_channel(
-    sock: socket.socket,
-    max_frame_bytes: Optional[int] = DEFAULT_MAX_MESSAGE_BYTES,
-    **connection_kwargs,
-) -> FrameChannel:
-    """Wrap a connected socket in the shared frame protocol.
-
-    ``connection_kwargs`` pass through to :class:`SocketConnection`
-    (deadlines, per-socket-message cap); ``max_frame_bytes`` caps one
-    whole pickled frame at the channel layer — on the untrusted service
-    wire it defaults on, unlike the trusted in-process pipes.
-    """
-    return FrameChannel(
-        SocketConnection(sock, **connection_kwargs),
-        max_frame_bytes=max_frame_bytes,
-    )

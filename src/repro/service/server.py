@@ -25,11 +25,15 @@ Every connection runs with the protocol-layer deadlines: ``read_deadline``
 bounds idle waits between requests, ``message_timeout`` bounds each frame's
 completion once started (slow-loris), ``send_timeout`` bounds response
 writes to a peer that stopped reading, and ``max_frame_bytes`` caps what a
-length prefix may announce.  A violated deadline, corrupt frame (CRC), or
-oversized frame reaps the connection: the reader closes it, removes it from
-the connection table, counts the cause in :meth:`stats`, and exits — it
+length prefix may announce.  A violated deadline, corrupt frame (a CRC
+failure, or a frame that passes its CRC but does not unpickle), or
+oversized frame reaps the connection: it is closed, removed from the
+connection table, and counted in :meth:`stats`, and its reader exits — it
 never leaks its thread, and the pending-request accounting stays exact
-because workers finish their half independently (see below).
+because workers finish their half independently (see below).  A response
+send that misses ``send_timeout`` reaps the connection too, so the peer's
+other queued responses fail fast instead of each holding a worker for the
+whole deadline.
 
 Admission control
 -----------------
@@ -77,11 +81,10 @@ import queue
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.process_member import FrameChannel
 from repro.exceptions import (
-    FrameCorruptionError,
     FrameTooLargeError,
     ServiceClosedError,
     WireTimeoutError,
@@ -103,25 +106,47 @@ class _ServiceConnection:
     """One client connection: a frame channel plus a send lock.
 
     Workers finishing out of order share the socket, so every outbound
-    message goes through :meth:`send`, which serializes writes and swallows
-    transport errors (a client that hung up no longer cares about its
-    responses; the server must not die on its behalf).
+    message goes through :meth:`send`, which serializes writes and never
+    raises: a client that hung up no longer cares about its responses, and
+    the server must not die on its behalf.
     """
 
-    def __init__(self, channel: FrameChannel):
+    def __init__(self, channel: FrameChannel, count: Callable[[str], None]):
         self.channel = channel
+        self._count = count
         self._send_lock = threading.Lock()
+        self._reaped = False  # guarded by the send lock
 
     def send(self, response: ServiceResponse) -> bool:
+        """Deliver one response; False when it could not be."""
         with self._send_lock:
+            if self.channel.closed:
+                return False
             try:
                 self.channel.send_message(response)
                 return True
+            except WireTimeoutError:
+                # the peer stopped reading and the frame may be half
+                # written: the stream is unusable
+                self._reap_locked()
+            except (EOFError, OSError):
+                self.channel.close()  # the peer hung up: not a reap
             except Exception:
-                # OSError/EOFError/WireTimeoutError from the transport, but
-                # also anything pickling raises: an undeliverable response
-                # must never kill the worker that produced it
-                return False
+                # pickling (or the frame cap) failed before a byte was
+                # written: the stream is intact, only this response is lost
+                pass
+            return False
+
+    def reap(self) -> None:
+        """Close the connection and count it reaped (once per connection)."""
+        with self._send_lock:
+            self._reap_locked()
+
+    def _reap_locked(self) -> None:
+        if not self._reaped:
+            self._reaped = True
+            self._count("reaped_connections")
+        self.channel.close()
 
     def close(self) -> None:
         with self._send_lock:
@@ -329,7 +354,7 @@ class EncryptedSearchService:
             send_timeout=self._send_timeout,
             max_message_bytes=self._max_frame_bytes,
         )
-        channel = FrameChannel(transport, max_frame_bytes=self._max_frame_bytes)
+        channel = FrameChannel(transport)
         try:
             channel.recv_hello("service client")
             channel.send_hello()
@@ -342,7 +367,7 @@ class EncryptedSearchService:
         # steady state: switch from the handshake deadline to the idle one
         transport.read_timeout = self._read_deadline
         transport.message_timeout = self._message_timeout
-        return _ServiceConnection(channel)
+        return _ServiceConnection(channel, self._count)
 
     def _reader_loop(self, client_socket: socket.socket) -> None:
         connection = self._handshake(client_socket)
@@ -376,7 +401,6 @@ class EncryptedSearchService:
                 # clients enforce the same cap before sending, making this
                 # the hostile/corrupted-peer path, not a normal error path
                 self._count("oversized_frames")
-                self._count("reaped_connections")
                 connection.send(
                     ServiceResponse(
                         request_id=-1,
@@ -385,18 +409,21 @@ class EncryptedSearchService:
                         error_type="FrameTooLargeError",
                     )
                 )
-                return
-            except FrameCorruptionError:
-                self._count("corrupt_frames")
-                self._count("reaped_connections")
+                connection.reap()
                 return
             except WireTimeoutError:
                 # idle past read_deadline or wedged mid-frame past
                 # message_timeout: reap the connection, free the thread
-                self._count("reaped_connections")
+                connection.reap()
                 return
-            except ValueError:
-                return  # closed-socket race inside recv plumbing
+            except Exception:
+                if connection.channel.closed:
+                    return  # closed under us: shutdown or a send-side reap
+                # a CRC failure, or a frame that passed its CRC but does
+                # not unpickle: either way the stream cannot be trusted
+                self._count("corrupt_frames")
+                connection.reap()
+                return
             if not isinstance(message, ServiceRequest):
                 connection.send(
                     ServiceResponse(

@@ -1,11 +1,9 @@
-"""Unit tests for OPE, secret sharing, Paillier, and DPF."""
+"""Unit tests for secret sharing, Paillier, and DPF."""
 
 import pytest
 
 from repro.crypto.dpf import DistributedPointFunction
 from repro.crypto.homomorphic import PaillierKeyPair, PaillierScheme, _is_probable_prime
-from repro.crypto.ope import OrderPreservingEncoder
-from repro.crypto.primitives import SecretKey
 from repro.crypto.secret_sharing import (
     AdditiveSecretSharing,
     SecretSharingScheme,
@@ -15,38 +13,6 @@ from repro.crypto.secret_sharing import (
 from repro.data.relation import Relation
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CryptoError
-
-
-class TestOrderPreservingEncoder:
-    def test_order_is_preserved(self):
-        encoder = OrderPreservingEncoder(SecretKey.from_passphrase("ope"))
-        domain = [5, 1, 9, 3, 7]
-        encoder.build(domain)
-        codes = [encoder.encode(v) for v in sorted(domain)]
-        assert codes == sorted(codes)
-        assert encoder.order_preserved()
-
-    def test_encode_decode_round_trip(self):
-        encoder = OrderPreservingEncoder()
-        encoder.build(list(range(20)))
-        for value in range(20):
-            assert encoder.decode(encoder.encode(value)) == value
-
-    def test_unknown_value_and_code_raise(self):
-        encoder = OrderPreservingEncoder()
-        encoder.build([1, 2, 3])
-        with pytest.raises(CryptoError):
-            encoder.encode(99)
-        with pytest.raises(CryptoError):
-            encoder.decode(-1)
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(CryptoError):
-            OrderPreservingEncoder().build([])
-
-    def test_bad_gap_rejected(self):
-        with pytest.raises(CryptoError):
-            OrderPreservingEncoder(max_gap=1)
 
 
 class TestShamir:

@@ -8,6 +8,7 @@ payload) directly, so the hostile-peer tests exercise the server with
 byte sequences no well-behaved client would produce.
 """
 
+import operator
 import pickle
 import socket
 import struct
@@ -21,18 +22,21 @@ from repro.cloud.process_member import (
     WIRE_MAGIC,
     WIRE_PICKLE_PROTOCOL,
     WIRE_VERSION,
+    FrameChannel,
 )
 from repro.exceptions import (
     DeadlineExceededError,
     FrameTooLargeError,
     ServiceError,
     TenantRateLimitedError,
+    WireTimeoutError,
 )
 from repro.service import (
     DedupWindow,
     EncryptedSearchService,
     RetryPolicy,
     ServiceClient,
+    ServiceRequest,
     SocketConnection,
     TenantRegistry,
     TokenBucket,
@@ -43,7 +47,6 @@ from repro.workloads.employee import build_employee_relation, employee_policy
 pytestmark = pytest.mark.service
 
 _HELLO = struct.Struct("<4sHH")
-_FRAME_HEADER = struct.Struct("<QI")
 
 
 def make_registry(tenants=("acme",), **session_kwargs):
@@ -66,6 +69,11 @@ def _wait_until(predicate, timeout=10.0, message="condition"):
         if time.monotonic() > deadline:
             raise AssertionError(f"timed out waiting for {message}")
         time.sleep(0.002)
+
+
+def _counters(service, *names):
+    stats = service.stats()
+    return tuple(stats[name] for name in names)
 
 
 def _gate_worker(registry, tenant="acme"):
@@ -117,14 +125,19 @@ def recv_raw_message(sock) -> bytes:
 
 
 def recv_frame_object(sock):
-    """One whole FrameChannel frame (header message + payload chunks)."""
-    header = recv_raw_message(sock)
-    payload_length, buffer_count = _FRAME_HEADER.unpack_from(header, 0)
-    assert buffer_count == 0
-    payload = b""
-    while len(payload) < payload_length:
-        payload += recv_raw_message(sock)
-    return pickle.loads(payload)
+    """One whole FrameChannel frame: one message carrying a pickle."""
+    return pickle.loads(recv_raw_message(sock))
+
+
+class _RaisesOnLoad:
+    """Pickles fine; unpickling calls ``loader(*args)``, which raises."""
+
+    def __init__(self, loader, args):
+        self.loader = loader
+        self.args = args
+
+    def __reduce__(self):
+        return self.loader, self.args
 
 
 def raw_handshake(sock) -> None:
@@ -266,6 +279,78 @@ class TestConnectionReaping:
         finally:
             service.stop()
 
+    def test_peer_that_stops_reading_is_reaped(self):
+        """A response send that misses send_timeout reaps the connection,
+        so the peer's other queued responses stop holding the workers."""
+        service = EncryptedSearchService(
+            make_registry(), num_workers=2, send_timeout=0.2
+        ).start()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                # a small receive window fills after a few responses
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.connect(service.address)
+                peer = FrameChannel(SocketConnection(sock, send_timeout=1.0))
+                peer.send_hello()
+                peer.recv_hello("service")
+                try:
+                    for request_id in range(100_000):
+                        peer.send_message(ServiceRequest(request_id, "acme", "stats"))
+                except (OSError, WireTimeoutError):
+                    pass  # reaped, or the server stopped reading
+                _wait_until(
+                    lambda: _counters(
+                        service, "reaped_connections", "pending", "open_connections"
+                    ) == (1, 0, 0),
+                    timeout=5.0,
+                    message="the non-reading peer to be reaped",
+                )
+            host, port = service.address
+            with ServiceClient(host, port, timeout=1.0) as client:
+                started = time.monotonic()
+                assert client.ping("acme") == "pong"
+                assert time.monotonic() - started < 1.0
+        finally:
+            service.stop()
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize(
+        "loader,args",
+        [
+            (int, ("not a number",)),
+            (getattr, (0, "no_such_attribute")),
+            (operator.truediv, (1, 0)),
+        ],
+        ids=["ValueError", "AttributeError", "ZeroDivisionError"],
+    )
+    def test_frame_that_does_not_unpickle_is_reaped(self, loader, args):
+        """A frame with a valid CRC whose pickle raises on load is counted
+        and reaped like a corrupt one, never raised out of the reader."""
+        service = EncryptedSearchService(make_registry(), num_workers=1).start()
+        try:
+            with socket.create_connection(service.address) as sock:
+                peer = FrameChannel(SocketConnection(sock))
+                peer.send_hello()
+                peer.recv_hello("service")
+                peer.send_message(_RaisesOnLoad(loader, args))
+                _wait_until(
+                    lambda: _counters(
+                        service, "corrupt_frames", "reaped_connections",
+                        "open_connections",
+                    ) == (1, 1, 0),
+                    timeout=5.0,
+                    message="the frame to be counted and its connection reaped",
+                )
+                with pytest.raises(EOFError):
+                    peer.recv_message()
+            host, port = service.address
+            with ServiceClient(host, port) as client:
+                assert client.ping("acme") == "pong"
+        finally:
+            service.stop()
+
 
 # -- frame size caps ---------------------------------------------------------------
 
@@ -287,14 +372,14 @@ class TestFrameSizeCaps:
             service.stop()
 
     def test_server_side_cap_refuses_oversized_announcement(self):
-        """A forged frame header announcing 10 GB must cost the peer its
+        """A forged frame header announcing 2 GiB must cost the peer its
         connection (typed courtesy response on id -1), not the server an
         allocation."""
         service = EncryptedSearchService(make_registry(), num_workers=1).start()
         try:
             with socket.create_connection(service.address) as sock:
                 raw_handshake(sock)
-                send_raw_message(sock, _FRAME_HEADER.pack(10 ** 10, 0))
+                sock.sendall(_MESSAGE_HEADER.pack(1 << 31, 0))
                 response = recv_frame_object(sock)
                 assert response.request_id == -1
                 assert response.status == STATUS_ERROR
@@ -556,6 +641,33 @@ class TestAdmissionAccounting:
         finally:
             service.stop()
         assert _service_threads() == []
+
+    def test_unencodable_response_is_dropped_and_the_connection_kept(self):
+        """A response that fails to pickle never reaches the socket, so
+        the stream is intact: only that response is lost, nothing is
+        reaped, and the connection keeps serving."""
+        registry = make_registry()
+        session = registry.get("acme")
+        execute = session.execute
+        session.execute = lambda op, payload: (
+            threading.Lock() if op == "stats" else execute(op, payload)
+        )
+        service = EncryptedSearchService(registry, num_workers=1).start()
+        try:
+            host, port = service.address
+            with ServiceClient(host, port, timeout=5.0) as client:
+                lost = client.submit("acme", "stats")
+                _wait_until(
+                    lambda: service.stats()["dropped_responses"] == 1,
+                    message="the unencodable response to be dropped",
+                )
+                assert client.ping("acme") == "pong"
+                assert not lost.done()
+                assert _counters(
+                    service, "reaped_connections", "open_connections"
+                ) == (0, 1)
+        finally:
+            service.stop()
 
 
 # -- client/connection lifecycle races ---------------------------------------------

@@ -12,7 +12,10 @@ handshake.
 
 from __future__ import annotations
 
+import collections
 import pickle
+import socket
+import threading
 
 import pytest
 
@@ -45,6 +48,7 @@ from repro.crypto.searchable import SSEScheme
 from repro.data.relation import Relation, Row
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import IntegrityError, ProcessMemberError
+from repro.service.protocol import SocketConnection
 from repro.workloads.generator import generate_partitioned_dataset
 
 VECTOR_SCHEMES = {
@@ -354,48 +358,80 @@ def test_insert_many_is_equivalent_to_per_row_inserts(
 
 
 # -- wire format --------------------------------------------------------------
-class TestFrameChannel:
-    def make_pair(self):
-        ctx = process_member._spawn_context()
-        left, right = ctx.Pipe()
-        return FrameChannel(left), FrameChannel(right)
+class _LoopbackTransport:
+    """A ``Connection``-shaped queue of messages that counts its calls."""
 
-    def test_round_trip_and_byte_accounting(self):
-        sender, receiver = self.make_pair()
+    def __init__(self):
+        self.messages = collections.deque()
+        self.calls = collections.Counter()
+
+    def send_bytes(self, data):
+        self.calls["send_bytes"] += 1
+        self.messages.append(bytes(data))
+
+    def recv_bytes(self):
+        self.calls["recv_bytes"] += 1
+        return self.messages.popleft()
+
+
+class TestFrameChannel:
+    @pytest.fixture(params=["pipe", "socket"])
+    def pair(self, request):
+        """A connected channel pair over a multiprocessing pipe or over a
+        socketpair wrapped in the service's :class:`SocketConnection`."""
+        if request.param == "pipe":
+            left, right = process_member._spawn_context().Pipe()
+        else:
+            left, right = (SocketConnection(end) for end in socket.socketpair())
+        sender, receiver = FrameChannel(left), FrameChannel(right)
+        yield sender, receiver
+        sender.close()
+        receiver.close()
+
+    def test_round_trip_and_byte_accounting(self, pair):
+        sender, receiver = pair
         message = ("method", ({"rows": list(range(100))},), {"flag": True})
         sender.send_message(message)
         assert receiver.recv_message() == message
         assert sender.bytes_sent > 0
         assert receiver.bytes_received == sender.bytes_sent
-        sender.close()
-        receiver.close()
 
-    def test_large_frames_are_chunked(self, monkeypatch):
-        monkeypatch.setattr(process_member, "WIRE_CHUNK_BYTES", 64)
-        sender, receiver = self.make_pair()
-        payload = {"blob": bytes(range(256)) * 40}
-        sender.send_message(payload)
+    def test_frame_of_several_mib_round_trips(self, pair):
+        sender, receiver = pair
+        payload = {"blob": bytes(range(256)) * (16 * 1024)}  # 4 MiB
+        # the transport buffers less than one frame: send while receiving
+        writer = threading.Thread(target=sender.send_message, args=(payload,))
+        writer.start()
         assert receiver.recv_message() == payload
-        sender.close()
-        receiver.close()
+        writer.join(timeout=10.0)
+        assert not writer.is_alive()
 
-    def test_out_of_band_buffers_round_trip(self):
-        sender, receiver = self.make_pair()
+    def test_pickle_buffer_values_round_trip(self, pair):
+        sender, receiver = pair
         raw = bytes(range(256)) * 10
         sender.send_message({"oob": pickle.PickleBuffer(raw)})
         received = receiver.recv_message()
         assert bytes(received["oob"]) == raw
-        sender.close()
-        receiver.close()
 
-    def test_scratch_buffer_is_reused_across_messages(self):
-        sender, receiver = self.make_pair()
+    def test_messages_arrive_in_send_order(self, pair):
+        sender, receiver = pair
         for index in range(5):
             sender.send_message({"i": index, "pad": b"x" * 1000})
         for index in range(5):
             assert receiver.recv_message()["i"] == index
-        sender.close()
-        receiver.close()
+
+    def test_one_frame_is_one_transport_message(self):
+        transport = _LoopbackTransport()
+        channel = FrameChannel(transport)
+        messages = [("ping", (), {}), {"blob": b"x" * (3 << 20)}]
+        for message in messages:
+            channel.send_message(message)
+        assert transport.calls == {"send_bytes": len(messages)}
+        assert [channel.recv_message() for _ in messages] == messages
+        assert transport.calls == {
+            "send_bytes": len(messages),
+            "recv_bytes": len(messages),
+        }
 
 
 class TestWireHandshake:
