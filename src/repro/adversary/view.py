@@ -195,12 +195,11 @@ class ViewTemplate:
 
 
 class _MaterializedViews:
-    """List-like facade over a :class:`ViewLog`'s records.
+    """Read-only, list-like facade over a :class:`ViewLog`'s records.
 
-    Supports exactly the access patterns the codebase uses on the old
-    ``views`` list — indexing, iteration, ``len``, ``clear``, and suffix
-    deletion (crash rollback) — materialising views on demand and caching
-    them so repeated analysis passes pay the dataclass cost once.
+    Supports indexing, iteration and ``len``, materialising views on demand
+    and caching them so repeated analysis passes pay the dataclass cost
+    once.
     """
 
     __slots__ = ("_log",)
@@ -226,25 +225,9 @@ class _MaterializedViews:
             raise IndexError("view index out of range")
         return self._log._view_at(index)
 
-    def __delitem__(self, index: Union[int, slice]) -> None:
-        records = self._log._records
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(records))
-            if step != 1 or stop < len(records):
-                raise ValueError("ViewLog only supports deleting a suffix")
-            self._log._truncate(start)
-            return
-        raise ValueError("ViewLog only supports deleting a suffix")
-
     def __iter__(self) -> Iterator[AdversarialView]:
         for position in range(len(self)):
             yield self._log._view_at(position)
-
-    def clear(self) -> None:
-        self._log.clear()
-
-    def append(self, view: AdversarialView) -> None:
-        self._log.append(view)
 
 
 class ViewLog:
@@ -280,7 +263,7 @@ class ViewLog:
         return self._records
 
     def records_since(self, start: int) -> List[Tuple[int, ViewTemplate]]:
-        """Records appended at or after position ``start`` (delta sync)."""
+        """Records appended at or after position ``start`` (member sync)."""
         return self._records[start:]
 
     def extend_records(
@@ -301,8 +284,9 @@ class ViewLog:
             self._materialized[position] = view
         return view
 
-    def _truncate(self, length: int) -> None:
-        """Forget every record at position ``length`` or later (crash rollback)."""
+    def truncate(self, length: int) -> None:
+        """Forget every record at position ``length`` or later (observation
+        rollback and process-member sync)."""
         del self._records[length:]
         if self._materialized:
             for position in [p for p in self._materialized if p >= length]:
@@ -314,10 +298,6 @@ class ViewLog:
     def __iter__(self) -> Iterator[AdversarialView]:
         for position in range(len(self._records)):
             yield self._view_at(position)
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._materialized.clear()
 
     # -- adversary-side aggregations --------------------------------------------
     #

@@ -6,7 +6,7 @@ honest-but-curious — records everything it observes as adversarial views.
 """
 
 from repro.cloud.indexes import HashIndex, SortedIndex
-from repro.cloud.network import NetworkModel, TransferLog
+from repro.cloud.network import NetworkModel
 from repro.cloud.server import BatchRequest, CloudServer, QueryResponse
 from repro.cloud.multi_cloud import MultiCloud, ShardRouter
 
@@ -14,7 +14,6 @@ __all__ = [
     "HashIndex",
     "SortedIndex",
     "NetworkModel",
-    "TransferLog",
     "BatchRequest",
     "CloudServer",
     "QueryResponse",

@@ -18,9 +18,12 @@ The *encrypted* relation gets the same treatment when its scheme opts in
   triples the honest-but-curious adversary already stores, so building it
   changes nothing in the adversarial view.
 
-All indexes count the probes (and, for the encrypted index, the rows
-examined) so the experiment harness can report index work alongside
-wall-clock time.
+All indexes count the probes they actually make (and, for the encrypted
+index, the rows examined) so the experiment harness can report index work
+alongside wall-clock time.  These are work counters, not observations: a
+query the cloud serves from an interned retrieval makes no probe and adds
+nothing to them, and crash rollback leaves them alone.  What the cloud
+*observed* is ``CloudStatistics``, which charges every query.
 """
 
 from __future__ import annotations

@@ -94,10 +94,6 @@ class FleetLifecycleManager:
         thread-backed members are alive by construction (Python threads
         cannot be killed, so a thread backend cannot wedge independently of
         the coordinator).
-    validate_transitions:
-        When true (the default), every transition re-proves storage
-        non-collusion and k-way redundancy over the post-migration fleet
-        before the new router is installed, and raises on violation.
     on_router_change:
         Callback invoked with each newly installed router — the hook the
         query engine uses to start routing through the new membership.
@@ -108,7 +104,6 @@ class FleetLifecycleManager:
         fleet: MultiCloud,
         router: ShardRouter,
         probe_timeout: Optional[float] = None,
-        validate_transitions: bool = True,
         on_router_change: Optional[Callable[[ShardRouter], None]] = None,
     ):
         if router.num_shards != len(fleet):
@@ -119,7 +114,6 @@ class FleetLifecycleManager:
         self.fleet = fleet
         self.router = router
         self.probe_timeout = probe_timeout
-        self.validate_transitions = validate_transitions
         self._on_router_change = on_router_change
         #: migration reports in transition order (operational audit trail)
         self.history: List[MigrationReport] = []
@@ -407,8 +401,7 @@ class FleetLifecycleManager:
         return report
 
     def _install(self, router: ShardRouter) -> None:
-        if self.validate_transitions:
-            self._validate_transition(router)
+        self._validate_transition(router)
         self.router = router
         if self._on_router_change is not None:
             self._on_router_change(router)

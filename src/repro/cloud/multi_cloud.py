@@ -90,7 +90,7 @@ per-member batches concurrently.  Two backends place the member compute:
     every member's server lives in its own worker process behind a
     :class:`~repro.cloud.process_member.ProcessMemberProxy`.  Requests and
     responses are picklable wire types; observations sync back to the
-    coordinator in per-batch deltas, so adversary/auditor code still sees
+    coordinator with every reply, so adversary/auditor code still sees
     exactly the single-server information split.  The coordinator threads
     release the GIL while waiting on worker pipes, which is what finally
     lets trial-decryption work scale with member count on multi-core
@@ -127,10 +127,9 @@ from typing import (
     Tuple,
 )
 
-from repro.cloud.network import NetworkModel
 from repro.cloud.process_member import ProcessMemberProxy
 from repro.cloud.server import BatchRequest, CloudServer, QueryResponse
-from repro.crypto.base import EncryptedRow, EncryptedSearchScheme, SearchToken
+from repro.crypto.base import EncryptedRow, EncryptedSearchScheme
 from repro.data.partition import (
     SHARD_POLICIES,
     rendezvous_order,
@@ -140,10 +139,8 @@ from repro.data.partition import (
 from repro.data.relation import Relation, Row
 from repro.exceptions import CloudError, FleetDegradedError, MemberFailure
 
-#: (server index, position) of one request half; ``position`` is the index
-#: inside the server's batch for :meth:`MultiCloud.split_requests` plans and
-#: the absolute view-log index in :class:`FleetBatchReport` placements (the
-#: two coincide for a freshly reset fleet serving one batch).
+#: (server index, absolute view-log position) where one request half was
+#: served.
 HalfPlacement = Optional[Tuple[int, int]]
 
 
@@ -151,10 +148,10 @@ HalfPlacement = Optional[Tuple[int, int]]
 class FleetBatchReport:
     """How the last :meth:`MultiCloud.process_batch` call actually placed work.
 
-    ``placements`` mirrors :meth:`MultiCloud.split_requests` — one
-    ``(sensitive half, cleartext half)`` entry per input request — but
-    records where each half was *finally served* after any failover, as
-    ``(server index, absolute view-log position)``.  ``failed_members``
+    ``placements`` holds one ``(sensitive half, cleartext half)`` entry per
+    input request, recording where each half was *finally served* after any
+    failover, as ``(server index, absolute view-log position)``, or
+    ``None`` for a half the request does not carry.  ``failed_members``
     holds the members newly detected as failed during this batch;
     ``rerouted_halves`` counts the halves that had to move to a replica.
     The fault-injection parity harness reads this to look up per-query views
@@ -498,7 +495,6 @@ class MultiCloud:
     def __init__(
         self,
         count: int = 2,
-        network_factory: Optional[Callable[[], NetworkModel]] = None,
         use_indexes: bool = True,
         use_encrypted_indexes: bool = True,
         server_factory: Optional[Callable[..., CloudServer]] = None,
@@ -520,7 +516,6 @@ class MultiCloud:
         # Member-construction config is retained: elastic membership ops
         # (add_member/replace_member) build new members identical to the
         # originals.
-        self._network_factory = network_factory or NetworkModel
         self._server_factory = server_factory
         self._use_indexes = use_indexes
         self._use_encrypted_indexes = use_encrypted_indexes
@@ -560,7 +555,6 @@ class MultiCloud:
         if self.member_backend == "process":
             return ProcessMemberProxy(
                 name=f"cloud-{index}",
-                network_factory=self._network_factory,
                 server_factory=self._server_factory,
                 rpc_timeout=self._rpc_timeout,
                 use_indexes=self._use_indexes,
@@ -571,7 +565,6 @@ class MultiCloud:
         make_server = self._server_factory or CloudServer
         return make_server(
             name=f"cloud-{index}",
-            network=self._network_factory(),
             use_indexes=self._use_indexes,
             use_encrypted_indexes=self._use_encrypted_indexes,
             storage_backend=self._storage_backend,
@@ -589,7 +582,7 @@ class MultiCloud:
         """Release member resources (worker processes under ``"process"``).
 
         Idempotent; a thread-backed fleet has nothing to release.  Proxy
-        mirrors (views, statistics, network logs) stay readable after close,
+        mirrors (views, statistics, transfer totals) stay readable after close,
         so analysis code may inspect a closed fleet — it just cannot serve
         further batches.
         """
@@ -630,7 +623,7 @@ class MultiCloud:
         """Append a fresh, empty member slot and return its index.
 
         The new member is built exactly like the originals (same backend,
-        network model, server factory, RPC timeout) but holds no data and is
+        server factory, RPC timeout) but holds no data and is
         not yet part of any router's membership.  Pair with
         :meth:`FleetLifecycleManager.add_member <repro.cloud.lifecycle.FleetLifecycleManager.add_member>`,
         which initialises the member from :attr:`last_deployment`, migrates
@@ -688,26 +681,6 @@ class MultiCloud:
         return member in self.failed_members or member in self.departed_members
 
     # -- outsourcing --------------------------------------------------------------
-    def broadcast_non_sensitive(self, relation: Relation) -> None:
-        """Store the cleartext relation on every server (it is public anyway)."""
-        for index, server in enumerate(self.servers):
-            if index in self.departed_members:
-                continue
-            server.store_non_sensitive(relation)
-
-    def distribute_sensitive(
-        self,
-        per_server_rows: Sequence[Sequence[EncryptedRow]],
-        scheme: EncryptedSearchScheme,
-    ) -> None:
-        """Give each server its own shares/ciphertexts of the sensitive data."""
-        if len(per_server_rows) != len(self.servers):
-            raise CloudError(
-                f"expected {len(self.servers)} row groups, got {len(per_server_rows)}"
-            )
-        for server, rows in zip(self.servers, per_server_rows):
-            server.store_sensitive(rows, scheme)
-
     def outsource_sharded(
         self,
         attribute: str,
@@ -805,83 +778,13 @@ class MultiCloud:
             server.register_non_sensitive_row(row)
 
     # -- querying --------------------------------------------------------------------
-    def fan_out(
-        self,
-        attribute: str,
-        cleartext_values: Sequence[object],
-        per_server_tokens: Sequence[Sequence[SearchToken]],
-        sensitive_bin_index: Optional[int] = None,
-        non_sensitive_bin_index: Optional[int] = None,
-    ) -> List[QueryResponse]:
-        """Send (possibly different) token sets to each server.
-
-        The cleartext half of the request is only sent to the first server to
-        avoid double-charging communication for public data.  Each server's
-        slice is served through :meth:`CloudServer.process_batch` — the same
-        code path as batched and sharded execution — so network and
-        statistics charging can never diverge between the fan-out and batch
-        APIs.
-        """
-        if len(per_server_tokens) != len(self.servers):
-            raise CloudError(
-                f"expected {len(self.servers)} token groups, got {len(per_server_tokens)}"
-            )
-        responses = []
-        for position, (server, tokens) in enumerate(zip(self.servers, per_server_tokens)):
-            request = BatchRequest(
-                attribute=attribute,
-                cleartext_values=tuple(cleartext_values) if position == 0 else (),
-                tokens=tuple(tokens),
-                sensitive_bin_index=sensitive_bin_index,
-                non_sensitive_bin_index=(
-                    non_sensitive_bin_index if position == 0 else None
-                ),
-            )
-            responses.append(server.process_batch([request])[0])
-        return responses
-
-    def split_requests(
-        self, requests: Sequence[BatchRequest], router: ShardRouter
-    ) -> Tuple[List[List[BatchRequest]], List[Tuple[HalfPlacement, HalfPlacement]]]:
-        """Split a batch into per-member batches of request halves.
-
-        Returns the per-member request lists plus, per input request, the
-        placement of its two halves: ``((server, position), (server,
-        position))`` with ``None`` for a half the request does not carry.
-        Placements are what lets the merge step — and the parity tests — map
-        per-member responses and views back onto the original request order.
-        """
-        if router.num_shards != len(self.servers):
-            raise CloudError(
-                f"router was built for {router.num_shards} shards, fleet has "
-                f"{len(self.servers)}; resize with router.rebalanced() and "
-                "re-outsource (bin slices do not migrate on their own)"
-            )
-        per_server: List[List[BatchRequest]] = [[] for _ in self.servers]
-        placements: List[Tuple[HalfPlacement, HalfPlacement]] = []
-        for request in requests:
-            sensitive_shard, non_sensitive_shard = router.route(request)
-            sensitive_placement: HalfPlacement = None
-            if sensitive_shard is not None:
-                batch = per_server[sensitive_shard]
-                sensitive_placement = (sensitive_shard, len(batch))
-                batch.append(request.sensitive_half())
-            non_sensitive_placement: HalfPlacement = None
-            if non_sensitive_shard is not None:
-                batch = per_server[non_sensitive_shard]
-                non_sensitive_placement = (non_sensitive_shard, len(batch))
-                batch.append(request.non_sensitive_half())
-            placements.append((sensitive_placement, non_sensitive_placement))
-        return per_server, placements
-
     def _plan(
         self, requests: Sequence[BatchRequest], router: ShardRouter
     ) -> Tuple[List[_HalfUnit], List[Tuple[Optional[int], Optional[int]]]]:
         """Split a batch into half units carrying their failover candidates.
 
         Returns the units (in request order, sensitive half before cleartext
-        half — the same per-member order :meth:`split_requests` produces) and,
-        per input request, the unit slots of its two halves.
+        half) and, per input request, the unit slots of its two halves.
         """
         if router.num_shards != len(self.servers):
             raise CloudError(
@@ -957,7 +860,6 @@ class MultiCloud:
         self,
         requests: Sequence[BatchRequest],
         router: ShardRouter,
-        max_workers: Optional[int] = None,
         response_consumer: Optional[
             Callable[[BatchRequest, QueryResponse], None]
         ] = None,
@@ -996,15 +898,12 @@ class MultiCloud:
         corrupt each other's failover bookkeeping.
         """
         with self._batch_lock:
-            return self._process_batch_locked(
-                requests, router, max_workers, response_consumer
-            )
+            return self._process_batch_locked(requests, router, response_consumer)
 
     def _process_batch_locked(
         self,
         requests: Sequence[BatchRequest],
         router: ShardRouter,
-        max_workers: Optional[int] = None,
         response_consumer: Optional[
             Callable[[BatchRequest, QueryResponse], None]
         ] = None,
@@ -1021,7 +920,7 @@ class MultiCloud:
         retries_left = {index: self.member_retries for index in range(len(self.servers))}
         failed_this_batch: Set[int] = set()
         rerouted = 0
-        workers = max_workers or len(self.servers)
+        workers = len(self.servers)
         # Thread-backed members share one scheme object; schemes whose
         # search() mutates internal work counters declare themselves
         # concurrency-unsafe and get served one member at a time (correct
@@ -1055,7 +954,7 @@ class MultiCloud:
             # *any* member implementation: whatever a member recorded before
             # raising is rolled back below, so a retried or re-routed half
             # can never be double-counted in views, statistics, or transfer
-            # logs.  (The fault-injecting test server restores itself too —
+            # totals.  (The fault-injecting test server restores itself too —
             # the restore is idempotent against the same snapshot.)
             snapshots = {
                 member: self.servers[member].observation_snapshot()
@@ -1171,13 +1070,6 @@ class MultiCloud:
         return merged
 
     # -- adversarial analysis -----------------------------------------------------------
-    def single_server_view_sizes(self) -> Dict[str, int]:
-        """Number of views each individual server has accumulated."""
-        return {server.name: len(server.view_log) for server in self.servers}
-
-    def total_transfer_seconds(self) -> float:
-        return sum(server.network.total_seconds() for server in self.servers)
-
     def total_transfer_tuples(self, direction: Optional[str] = None) -> int:
         """Tuples moved fleet-wide (parity comparisons vs. a single server)."""
         return sum(
@@ -1187,18 +1079,6 @@ class MultiCloud:
     def aggregate_stat(self, field_name: str) -> int:
         """Sum one :class:`CloudStatistics` counter across the fleet."""
         return sum(getattr(server.stats, field_name) for server in self.servers)
-
-    def total_wire_bytes(self) -> int:
-        """Real transport bytes moved over process-member pipes, fleet-wide.
-
-        Zero for thread-backed fleets (no serialisation happens); for the
-        process backend this is the serialisation cost of the whole workload
-        since the last ``reset_observations`` — the pickled requests and
-        replies in both directions, without the pipe's own length prefixes.
-        """
-        return sum(
-            getattr(server.network, "wire_bytes", 0) for server in self.servers
-        )
 
     def reset_observations(self) -> None:
         """Clear every member's views and counters (between experiments).

@@ -2,38 +2,37 @@
 
 The paper's testbed used a ~30 Mbps downlink; the analytical model only needs
 the per-tuple transfer cost ``Ccom`` (≈ 4 µs for a 200-byte TPC-H Customer
-row at that bandwidth).  :class:`NetworkModel` converts tuple and byte counts
-into simulated seconds and keeps a transfer log so experiments can report the
-communication component of QB's trade-off separately from computation.
+row at that bandwidth).  :class:`NetworkModel` converts tuple counts into
+simulated seconds and keeps running totals per direction (transfers, tuples,
+bytes, seconds) so experiments can report the communication component of
+QB's trade-off separately from computation.  Totals, not a log: no reader
+needs a record per transfer, and a server records one transfer per query
+it serves.
 
 Concurrency
 -----------
 A model instance is shared by everything charging traffic on one member's
-behalf: the member's serve path, fleet worker threads, proxy observation
-mirrors, and (under the service layer) multiple tenant sessions.  Every
-mutation — log appends, truncations, wire-byte bumps — therefore happens
-under one internal lock, and the aggregate readers snapshot the log under
-the same lock, so ``total_*`` and ``wire_bytes`` are exact even while other
-threads are recording.  The lock is deliberately excluded from pickles (a
-worker process reconstructs its own).
+behalf: the member's serve path, fleet worker threads, a process member's
+proxy syncing it, and (under the service layer) multiple tenant sessions.  Every update — a recorded
+transfer, a restore, a reset — therefore happens under one internal lock,
+and the readers take the same lock, so the totals are exact even while
+other threads are recording.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
+#: (transfers, tuples, bytes, simulated seconds) moved in one direction.
+DirectionTotals = Tuple[int, int, int, float]
+_NOTHING: DirectionTotals = (0, 0, 0, 0.0)
 
-@dataclass(frozen=True)
-class TransferLog:
-    """One logical transfer between the owner and the cloud."""
-
-    direction: str  # "upload" or "download"
-    description: str
-    tuples: int
-    bytes_transferred: int
-    seconds: float
+#: Every direction's totals as plain values, sorted by direction name — the
+#: shape :meth:`NetworkModel.totals` captures and :meth:`NetworkModel.restore`
+#: installs.
+TransferTotals = Tuple[Tuple[str, DirectionTotals], ...]
 
 
 @dataclass
@@ -53,31 +52,10 @@ class NetworkModel:
     bandwidth_mbps: float = 30.0
     latency_seconds: float = 0.0005
     bytes_per_tuple: int = 200
-    log: List[TransferLog] = field(default_factory=list)
-    #: Real (not simulated) transport bytes moved over a process-member
-    #: pipe on this model's behalf — frame headers, pickled payloads, and
-    #: out-of-band buffers, both directions.  Unlike the entries in ``log``
-    #: (a deterministic *cost model* of owner↔cloud traffic), this counter
-    #: measures what serialization actually shipped, so benchmarks can
-    #: report wire cost next to wall-clock.  Zero for in-process servers.
-    #: ``reset()`` clears it with the log; crash rollback
-    #: (``restore_observations``) deliberately leaves it alone — the bytes
-    #: crossed the pipe whether or not the batch survived.
-    wire_bytes: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-
-    # Locks are process-local; a pickled model (shipped to a worker process
-    # on non-fork platforms) rebuilds its own on arrival.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._totals: Dict[str, DirectionTotals] = {}
 
     @property
     def seconds_per_tuple(self) -> float:
@@ -85,86 +63,54 @@ class NetworkModel:
         bits_per_tuple = self.bytes_per_tuple * 8
         return bits_per_tuple / (self.bandwidth_mbps * 1_000_000)
 
-    def transfer_seconds(self, tuples: int, extra_bytes: int = 0) -> float:
-        """Simulated seconds to transfer ``tuples`` rows plus ``extra_bytes``."""
-        payload_bits = (tuples * self.bytes_per_tuple + extra_bytes) * 8
+    def transfer_seconds(self, tuples: int) -> float:
+        """Simulated seconds to transfer ``tuples`` rows."""
+        payload_bits = tuples * self.bytes_per_tuple * 8
         return self.latency_seconds + payload_bits / (self.bandwidth_mbps * 1_000_000)
 
-    def record(
-        self,
-        direction: str,
-        description: str,
-        tuples: int,
-        extra_bytes: int = 0,
-    ) -> float:
-        """Log a transfer and return its simulated duration in seconds."""
-        seconds = self.transfer_seconds(tuples, extra_bytes)
-        entry = TransferLog(
-            direction=direction,
-            description=description,
-            tuples=tuples,
-            bytes_transferred=tuples * self.bytes_per_tuple + extra_bytes,
-            seconds=seconds,
-        )
+    def record(self, direction: str, tuples: int) -> float:
+        """Count one transfer and return its simulated duration in seconds."""
+        seconds = self.transfer_seconds(tuples)
         with self._lock:
-            self.log.append(entry)
+            transfers, moved, size, elapsed = self._totals.get(direction, _NOTHING)
+            self._totals[direction] = (
+                transfers + 1,
+                moved + tuples,
+                size + tuples * self.bytes_per_tuple,
+                elapsed + seconds,
+            )
         return seconds
 
-    # -- synchronized log/counter maintenance -------------------------------------
-    #
-    # Proxies and crash rollback manipulate the log structurally (bulk
-    # extends from observation deltas, truncations back to a snapshot).
-    # Routing those through the model keeps every mutation under the one
-    # lock instead of scattering ``model.log`` surgery across callers.
-
-    def extend_log(self, entries: List[TransferLog]) -> None:
-        """Append many entries atomically (proxy observation deltas)."""
+    # -- snapshot / restore ---------------------------------------------------------
+    def totals(self) -> TransferTotals:
+        """Every direction's totals as plain values (observation snapshots)."""
         with self._lock:
-            self.log.extend(entries)
+            return tuple(sorted(self._totals.items()))
 
-    def truncate_log(self, length: int) -> None:
-        """Drop every entry past ``length`` (crash/snapshot rollback)."""
+    def restore(self, totals: TransferTotals) -> None:
+        """Install totals captured by :meth:`totals` (rollback and sync)."""
         with self._lock:
-            del self.log[length:]
-
-    def add_wire_bytes(self, count: int) -> None:
-        """Bump the transport-byte counter atomically."""
-        with self._lock:
-            self.wire_bytes += count
-
-    def set_wire_bytes(self, count: int) -> None:
-        """Overwrite the transport-byte counter (proxy epoch mirroring)."""
-        with self._lock:
-            self.wire_bytes = count
-
-    # -- aggregate accounting ----------------------------------------------------
-    def _entries(self) -> List[TransferLog]:
-        """A point-in-time copy of the log (exact under concurrent writers)."""
-        with self._lock:
-            return list(self.log)
-
-    def total_seconds(self, direction: Optional[str] = None) -> float:
-        return sum(
-            entry.seconds
-            for entry in self._entries()
-            if direction is None or entry.direction == direction
-        )
-
-    def total_tuples(self, direction: Optional[str] = None) -> int:
-        return sum(
-            entry.tuples
-            for entry in self._entries()
-            if direction is None or entry.direction == direction
-        )
-
-    def total_bytes(self, direction: Optional[str] = None) -> int:
-        return sum(
-            entry.bytes_transferred
-            for entry in self._entries()
-            if direction is None or entry.direction == direction
-        )
+            self._totals = dict(totals)
 
     def reset(self) -> None:
+        self.restore(())
+
+    # -- aggregate accounting ----------------------------------------------------
+    def _sum(self, field: int, direction: Optional[str]):
         with self._lock:
-            self.log.clear()
-            self.wire_bytes = 0
+            if direction is not None:
+                return self._totals.get(direction, _NOTHING)[field]
+            return sum(totals[field] for totals in self._totals.values())
+
+    def transfers(self, direction: Optional[str] = None) -> int:
+        """How many transfers were recorded (in ``direction``, or in all)."""
+        return self._sum(0, direction)
+
+    def total_tuples(self, direction: Optional[str] = None) -> int:
+        return self._sum(1, direction)
+
+    def total_bytes(self, direction: Optional[str] = None) -> int:
+        return self._sum(2, direction)
+
+    def total_seconds(self, direction: Optional[str] = None) -> float:
+        return self._sum(3, direction)

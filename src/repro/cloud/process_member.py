@@ -19,11 +19,14 @@ Design
   fault-injecting server — works unchanged behind the proxy.
 * **Batched observation sync.**  The coordinator must keep seeing the exact
   single-server information split: per-member adversarial views, statistics,
-  and network charges.  Every RPC reply therefore carries an
-  :class:`ObservationDelta` — the compact view records, transfer-log
-  entries, and counter values produced since the previous sync — which the
-  proxy folds into local mirrors.  Observations are synced once per batch,
-  not once per query, so the IPC cost amortises exactly like the compute.
+  and network charges.  Every RPC reply therefore carries the compact view
+  records produced since the previous reply plus the worker's
+  :class:`~repro.cloud.server.ObservationSnapshot`; the proxy appends the
+  records to its view log and applies the snapshot with the same
+  ``restore`` crash rollback uses, so its ``view_log``, ``stats`` and
+  ``network`` always read what the worker's do.  Observations are synced
+  once per batch, not once per query, so the IPC cost amortises exactly
+  like the compute.
 * **Crash semantics for real.**  ``observation_snapshot`` /
   ``restore_observations`` are forwarded across the boundary, so the fleet's
   wave-based failover (and the fault-injection parity harness) works
@@ -49,9 +52,7 @@ Design
   (:class:`FrameChannel`) instead of ``Connection.send``'s implicit
   pickling: a frame is the message pickled once with protocol 5 and moved
   in one ``send_bytes`` call, whose own length prefix is the frame's only
-  header.  The channel counts the bytes it moves in both directions; the
-  proxy mirrors that total into ``network.wire_bytes`` so benchmarks can
-  report serialisation cost next to the simulated transfer model.
+  header.
 * **Version handshake.**  The first thing a worker writes is a fixed-size
   hello frame carrying the wire magic, wire-format version, and pickle
   protocol.  The proxy validates it before the first RPC and fails loudly
@@ -71,13 +72,11 @@ import pickle
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.adversary.view import ViewLog, ViewTemplate
-from repro.cloud.network import NetworkModel, TransferLog
+from repro.adversary.view import ViewLog
+from repro.cloud.network import NetworkModel
 from repro.cloud.server import (
-    BatchRequest,
     CloudServer,
     CloudStatistics,
     ObservationSnapshot,
@@ -148,38 +147,25 @@ class FrameChannel:
     ``multiprocessing`` pipe's own length prefix, or the service socket's
     ``u32 length | u32 crc32`` (:class:`~repro.service.protocol.SocketConnection`,
     which also enforces the service's frame cap).
-
-    ``bytes_sent`` / ``bytes_received`` count the hello and payload bytes
-    the channel moves (transport headers excluded) and only ever grow —
-    proxies baseline them to expose per-epoch deltas as
-    ``network.wire_bytes``.
     """
 
     def __init__(self, connection):
         self._connection = connection
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- handshake ----------------------------------------------------------------
     def send_hello(self) -> None:
-        blob = _hello_blob()
-        self._connection.send_bytes(blob)
-        self.bytes_sent += len(blob)
+        self._connection.send_bytes(_hello_blob())
 
     def recv_hello(self, peer: str) -> None:
-        blob = self._connection.recv_bytes()
-        self.bytes_received += len(blob)
-        _check_hello(blob, peer)
+        _check_hello(self._connection.recv_bytes(), peer)
 
     # -- frames -------------------------------------------------------------------
     def send_message(self, obj) -> None:
         payload = pickle.dumps(obj, protocol=WIRE_PICKLE_PROTOCOL)
         self._connection.send_bytes(payload)
-        self.bytes_sent += len(payload)
 
     def recv_message(self):
         payload = self._connection.recv_bytes()
-        self.bytes_received += len(payload)
         return pickle.loads(payload)
 
     # -- plumbing -----------------------------------------------------------------
@@ -189,24 +175,6 @@ class FrameChannel:
     @property
     def closed(self) -> bool:
         return self._connection.closed
-
-
-@dataclass
-class ObservationDelta:
-    """Observable side effects a worker produced since the last sync.
-
-    Carries everything :class:`ObservationSnapshot` covers, so the proxy can
-    take snapshots *locally* — a dead worker can still be snapshotted, which
-    is exactly what the fleet needs to fail a real process loss over.
-    """
-
-    records: List[Tuple[int, ViewTemplate]]
-    network_entries: List[TransferLog]
-    stats: Tuple[int, ...]
-    queries_issued: int
-    index_probe_counts: Tuple[Tuple[str, int], ...]
-    tag_probe_count: int
-    tag_rows_examined: int
 
 
 def _worker_main(connection, server_factory, server_kwargs) -> None:
@@ -221,7 +189,6 @@ def _worker_main(connection, server_factory, server_kwargs) -> None:
         return
     server = (server_factory or CloudServer)(**server_kwargs)
     synced_views = 0
-    synced_network = 0
     while True:
         try:
             message = channel.recv_message()
@@ -245,30 +212,17 @@ def _worker_main(connection, server_factory, server_kwargs) -> None:
             except Exception:
                 break
             continue
-        # Batched observation sync: everything recorded since the last reply.
-        # Restores/resets may have truncated below the synced watermark, in
-        # which case the proxy performed the matching truncation itself.
+        # Batched observation sync: the view records since the last reply
+        # plus the snapshot.  A restore or reset may have truncated the log
+        # below the synced watermark; the snapshot's view count truncates
+        # the proxy's log to match.
         synced_views = min(synced_views, len(server.view_log))
-        synced_network = min(synced_network, len(server.network.log))
-        tag_index = server._tag_index
-        delta = ObservationDelta(
-            records=server.view_log.records_since(synced_views),
-            network_entries=server.network.log[synced_network:],
-            stats=server.stats.as_tuple(),
-            queries_issued=server._queries_issued,
-            index_probe_counts=tuple(
-                (attribute, index.probe_count)
-                for attribute, index in server._indexes.items()
-            ),
-            tag_probe_count=tag_index.probe_count if tag_index is not None else 0,
-            tag_rows_examined=(
-                tag_index.rows_examined if tag_index is not None else 0
-            ),
-        )
+        records = server.view_log.records_since(synced_views)
         synced_views = len(server.view_log)
-        synced_network = len(server.network.log)
         try:
-            channel.send_message(("ok", result, delta))
+            channel.send_message(
+                ("ok", result, records, server.observation_snapshot())
+            )
         except Exception:
             break
     try:
@@ -313,8 +267,9 @@ class ProcessMemberProxy:
 
     Duck-types the server surface the fleet, the engine, and the harnesses
     touch.  Storage commands and queries are forwarded over the pipe; the
-    observable side effects stream back in per-RPC deltas and accumulate in
-    local mirrors (``view_log``, ``stats``, ``network``), so adversary,
+    observable side effects come back with every reply (new view records
+    plus the worker's :class:`~repro.cloud.server.ObservationSnapshot`) and
+    land in local mirrors (``view_log``, ``stats``, ``network``), so adversary,
     auditor, and parity code read member observations exactly as they would
     off an in-process server.  Unknown method calls are forwarded
     generically, which is what lets test-only members (e.g.
@@ -329,25 +284,20 @@ class ProcessMemberProxy:
     def __init__(
         self,
         name: str,
-        network_factory: Optional[Callable[[], NetworkModel]] = None,
         server_factory: Optional[Callable[..., CloudServer]] = None,
         rpc_timeout: Optional[float] = None,
         **server_kwargs,
     ):
-        factory = network_factory or NetworkModel
         self.name = name
         #: per-RPC reply deadline (seconds); ``None`` restores the blocking
         #: pre-deadline behaviour (not recommended outside debugging).
         self.rpc_timeout = (
             self.DEFAULT_RPC_TIMEOUT if rpc_timeout is None else rpc_timeout
         )
-        self.network = factory()  # mirror: params match the worker's model
+        self.network = NetworkModel()
         self.view_log = ViewLog()
         self.stats = CloudStatistics()
         self._queries_issued = 0
-        self._index_probe_counts: Tuple[Tuple[str, int], ...] = ()
-        self._tag_probe_count = 0
-        self._tag_rows_examined = 0
         self._scheme: Optional[EncryptedSearchScheme] = None
         self._encrypted_row_count = 0
         self._closed = False
@@ -364,7 +314,7 @@ class ProcessMemberProxy:
             args=(
                 worker_connection,
                 server_factory,
-                dict(server_kwargs, name=name, network=factory()),
+                dict(server_kwargs, name=name),
             ),
             daemon=True,
             name=f"repro-member-{name}",
@@ -372,9 +322,6 @@ class ProcessMemberProxy:
         self._process.start()
         worker_connection.close()
         self._channel = FrameChannel(self._connection)
-        #: wire-byte total (both directions) at the last observation epoch;
-        #: ``network.wire_bytes`` mirrors the delta past this baseline.
-        self._wire_baseline = 0
         self._finalizer = weakref.finalize(
             self, _shutdown_worker, self._channel, self._process
         )
@@ -404,9 +351,6 @@ class ProcessMemberProxy:
                 f"{self.name}: worker died before completing the wire "
                 f"handshake ({error!r})"
             ) from error
-        self._wire_baseline = (
-            self._channel.bytes_sent + self._channel.bytes_received
-        )
 
     # -- RPC plumbing -------------------------------------------------------------
     def _call(self, method: str, *args, **kwargs):
@@ -451,26 +395,12 @@ class ProcessMemberProxy:
             raise ProcessMemberError(
                 f"{self.name}: member process is unreachable ({error!r})"
             ) from error
-        # Bytes crossed the pipe whether the call succeeded or not.
-        self._sync_wire_bytes()
         if reply[0] == "error":
             raise reply[1]
-        _status, result, delta = reply
-        self._apply_delta(delta)
+        _status, result, records, snapshot = reply
+        self.view_log.extend_records(records)
+        snapshot.restore(self)
         return result
-
-    def _sync_wire_bytes(self) -> None:
-        """Mirror the channel's transported bytes into ``network.wire_bytes``.
-
-        The channel counters are monotonic; the mirror shows the delta since
-        the last observation epoch (``reset_observations`` re-baselines, and
-        crash rollback deliberately leaves the mirror alone — see
-        :class:`~repro.cloud.network.NetworkModel`).
-        """
-        self.network.set_wire_bytes(
-            (self._channel.bytes_sent + self._channel.bytes_received)
-            - self._wire_baseline
-        )
 
     def _abandon_worker(self) -> None:
         """Kill a wedged worker immediately (no graceful shutdown attempt)."""
@@ -489,17 +419,6 @@ class ProcessMemberProxy:
         """
         deadline = self.rpc_timeout if timeout is None else timeout
         return self._deadline_call(deadline, "ping", (), {})
-
-    def _apply_delta(self, delta: ObservationDelta) -> None:
-        if delta.records:
-            self.view_log.extend_records(delta.records)
-        if delta.network_entries:
-            self.network.extend_log(delta.network_entries)
-        self.stats = CloudStatistics.from_tuple(delta.stats)
-        self._queries_issued = delta.queries_issued
-        self._index_probe_counts = delta.index_probe_counts
-        self._tag_probe_count = delta.tag_probe_count
-        self._tag_rows_examined = delta.tag_rows_examined
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -564,45 +483,27 @@ class ProcessMemberProxy:
         return self._call("process_request", *args, **kwargs)
 
     def reset_observations(self) -> None:
-        # The delta already restores the counters (the worker does not reset
-        # its query-id counter or index probe counts — neither does a real
-        # server); only the mirrored logs need the matching truncation.  A
-        # closed member (dead or departed) has no worker to reset; clearing
-        # the mirrors keeps fleet-wide resets total over tombstones.
+        # A live worker resets itself and its reply's snapshot clears the
+        # mirrors.  A closed member (dead or departed) has no worker left;
+        # clearing the mirrors locally keeps fleet-wide resets total over
+        # tombstones and stops fleet aggregates counting a gone member's
+        # past work.
         with self._rpc_lock:
             if not self._closed:
                 self._call("reset_observations")
             else:
-                # no worker left to reset and no delta coming: zero the
-                # mirrored counters directly so fleet-wide aggregates stop
-                # counting a gone member's past work after a reset
-                self.stats = CloudStatistics()
-            self.view_log.clear()
-            self.network.reset()
-            # New observation epoch: wire bytes mirrored from here on are
-            # the bytes moved *after* this reset.
-            self._wire_baseline = (
-                self._channel.bytes_sent + self._channel.bytes_received
-            )
+                ObservationSnapshot.cleared(self).restore(self)
 
     def observation_snapshot(self) -> ObservationSnapshot:
         """Snapshot the member's observations from the local mirrors.
 
-        No RPC: the mirrors are exactly in sync with the worker at every
-        wave boundary (deltas carry the index/tag counters too), and a local
-        snapshot is the only kind a *dead* worker can still provide — which
-        is what lets the fleet fail a real process loss over.
+        No RPC: every reply leaves the mirrors in step with the worker, and
+        a local snapshot is the only kind a *dead* worker can still
+        provide — which is what lets the fleet fail a real process loss
+        over.
         """
         with self._rpc_lock:
-            return ObservationSnapshot(
-                view_count=len(self.view_log),
-                stats=self.stats.as_tuple(),
-                network_log_length=len(self.network.log),
-                queries_issued=self._queries_issued,
-                index_probe_counts=self._index_probe_counts,
-                tag_probe_count=self._tag_probe_count,
-                tag_rows_examined=self._tag_rows_examined,
-            )
+            return ObservationSnapshot.of(self)
 
     def restore_observations(self, snapshot: ObservationSnapshot) -> None:
         with self._rpc_lock:
@@ -615,16 +516,7 @@ class ProcessMemberProxy:
                     # mirrors need rolling back (and they never saw the lost
                     # work to begin with).
                     pass
-            # The delta can only extend the mirrors; the rollback truncation
-            # is replayed locally (same copy-on-write semantics as the
-            # server's).
-            self.view_log._truncate(snapshot.view_count)
-            self.network.truncate_log(snapshot.network_log_length)
-            self.stats = CloudStatistics.from_tuple(snapshot.stats)
-            self._queries_issued = snapshot.queries_issued
-            self._index_probe_counts = snapshot.index_probe_counts
-            self._tag_probe_count = snapshot.tag_probe_count
-            self._tag_rows_examined = snapshot.tag_rows_examined
+            snapshot.restore(self)
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

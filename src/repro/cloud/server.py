@@ -27,32 +27,40 @@ to the *same* request.  The server therefore interns one
 :class:`~repro.adversary.view.ViewTemplate` — per distinct request, keyed by
 the request itself, and serves every repeat from it.  Serving a steady-state
 cache-hit query then does near-zero allocation: one dict probe, a handful of
-counter increments, one network-log entry, and one compact view-log record.
+counter increments, one transfer counted, and one compact view-log record.
 The cache is dropped whenever stored data changes (outsourcing, appends,
 inserts), so cached retrievals can never go stale.
 
 Interning never merges queries' observable effects: each request still
-produces its own query id, adversarial view, ``CloudStatistics`` and
-index-counter increments, and network transfer, exactly as if computed from
-scratch — the cache-hit path re-applies the counters the skipped compute
-would have produced.  Only scheme-internal work counters (e.g. Paillier's
-``homomorphic_ops``) reflect the deduplicated compute: they count
-cryptographic operations actually performed.
+produces its own query id, adversarial view, ``CloudStatistics``
+increments, and network transfer, exactly as if computed from scratch — the
+cache-hit path re-applies the statistics the skipped compute would have
+produced.  Only work counters (the indexes' probe counters, scheme-internal
+tallies such as Paillier's ``homomorphic_ops``) reflect the deduplicated
+compute: they count the probes and cryptographic operations actually
+performed.
 
-The server also keeps simple operation counters (rows scanned, index probes,
-tuples shipped) which the benchmark harness converts into simulated times via
-the cost model, so experiments do not depend on wall-clock noise.
+Observations
+------------
+What a server has observed is one record of plain values,
+:class:`ObservationSnapshot`: the view-log length, the
+``CloudStatistics`` counters, the network transfer totals, and the query-id
+counter.  ``ObservationSnapshot.of`` is the only capture and
+``ObservationSnapshot.restore`` the only restore; crash rollback, resets,
+and the process-member proxy's sync all go through them.  The statistics
+are what the benchmark harness converts into simulated times via the cost
+model, so experiments do not depend on wall-clock noise.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.view import AdversarialView, ViewLog, ViewTemplate
 from repro.cloud.indexes import HashIndex
-from repro.cloud.network import NetworkModel
+from repro.cloud.network import NetworkModel, TransferTotals
 from repro.cloud.storage import StorageBackend, make_storage_backend
 from repro.crypto.base import EncryptedRow, EncryptedSearchScheme, SearchToken
 from repro.data.relation import Relation, Row
@@ -110,28 +118,55 @@ class ObservationSnapshot:
 
     Taken at the start of a batch and restored when the member crashes
     mid-batch: a crashed server loses the volatile state of its in-flight
-    work (views buffered, counters bumped, transfers half-logged), which is
+    work (views buffered, counters bumped, transfers counted), which is
     exactly what lets a failover re-serve the batch on a replica without
     double-counting the lost attempt.  Only *observations* are covered —
     stored relations and indexes are durable and survive the restore.
 
-    The snapshot is copy-on-write: it stores plain integers only — log
-    *lengths* rather than log copies, counter values rather than counter
-    objects — so taking one is O(#indexes) regardless of how many views or
-    transfers the server has accumulated.  The append-only logs themselves
-    are the shared state; the only write a restore performs is truncating
-    them back to the recorded lengths.  The fault-tolerance path takes one
-    snapshot per member per wave, so this must stay cheap even when nothing
-    fails.
+    The snapshot holds plain values only — the view log's *length* rather
+    than a copy, counter values rather than counter objects — so taking one
+    costs the same however much the server has observed.  The view log is
+    append-only; the only write a restore makes to it is truncating it back
+    to the recorded length.  The fault-tolerance path takes one snapshot per
+    member per wave, so this must stay cheap even when nothing fails.
+
+    The same record syncs a process member: every worker reply carries the
+    worker's snapshot, and the proxy applies it with :meth:`restore`.
     """
 
     view_count: int
     stats: Tuple[int, ...]
-    network_log_length: int
+    transfers: TransferTotals
     queries_issued: int
-    index_probe_counts: Tuple[Tuple[str, int], ...]
-    tag_probe_count: int
-    tag_rows_examined: int
+
+    @classmethod
+    def of(cls, server) -> "ObservationSnapshot":
+        """Capture ``server``'s observations (the caller holds its lock)."""
+        return cls(
+            view_count=len(server.view_log),
+            stats=server.stats.as_tuple(),
+            transfers=server.network.totals(),
+            queries_issued=server._queries_issued,
+        )
+
+    @classmethod
+    def cleared(cls, server) -> "ObservationSnapshot":
+        """``server``'s observations after a reset: none, except that query
+        ids keep counting so they stay unique across experiments."""
+        return cls(
+            view_count=0,
+            stats=CloudStatistics().as_tuple(),
+            transfers=(),
+            queries_issued=server._queries_issued,
+        )
+
+    def restore(self, server) -> None:
+        """Roll ``server``'s observations to this snapshot (the caller
+        holds its lock)."""
+        server.view_log.truncate(self.view_count)
+        server.stats = CloudStatistics.from_tuple(self.stats)
+        server.network.restore(self.transfers)
+        server._queries_issued = self.queries_issued
 
 
 @dataclass(frozen=True)
@@ -253,7 +288,6 @@ class CloudServer:
     def __init__(
         self,
         name: str = "public-cloud",
-        network: Optional[NetworkModel] = None,
         use_indexes: bool = True,
         use_encrypted_indexes: bool = True,
         storage_backend: object = "memory",
@@ -266,7 +300,7 @@ class CloudServer:
         collected).  An already built
         :class:`~repro.cloud.storage.StorageBackend` is also accepted."""
         self.name = name
-        self.network = network or NetworkModel()
+        self.network = NetworkModel()
         self.use_indexes = use_indexes
         #: gates both the tag index and the bin-addressed store; turning it
         #: off forces the linear-scan reference path (benchmark baseline).
@@ -291,13 +325,14 @@ class CloudServer:
         #: half already computed for another pair instead of re-probing /
         #: re-searching it.  Keyed by the request content (value tuple /
         #: (bin, tokens)) — pure memoization of deterministic lookups, with
-        #: the skipped counters re-charged so accounting stays identical.
+        #: the skipped statistics re-charged so ``CloudStatistics`` stays
+        #: identical.
         self._ns_half_cache: Dict[Tuple, List[Row]] = {}
         self._s_half_cache: Dict[Tuple, Tuple[List[EncryptedRow], int]] = {}
         #: serializes every observable transition — serving, mutation, cache
         #: invalidation, snapshot/restore — so concurrent sessions (service
         #: tenants, fleet failover, lifecycle migration) see each request's
-        #: side effects (query id, view record, counters, transfer entry)
+        #: side effects (query id, view record, counters, counted transfer)
         #: land atomically.  Re-entrant because batch serving and migration
         #: helpers nest locked calls.
         self._lock = threading.RLock()
@@ -343,9 +378,7 @@ class CloudServer:
             self._non_sensitive = relation
             self._indexes.clear()
             self._invalidate_retrievals()
-            self.network.record(
-                "upload", f"outsource {relation.name} (cleartext)", len(relation)
-            )
+            self.network.record("upload", len(relation))
 
     def store_sensitive(
         self,
@@ -386,11 +419,7 @@ class CloudServer:
                     and bin_assignment is not None
                 ),
             )
-            self.network.record(
-                "upload",
-                "outsource sensitive relation (encrypted)",
-                len(encrypted_rows),
-            )
+            self.network.record("upload", len(encrypted_rows))
 
     def append_sensitive(
         self,
@@ -400,9 +429,7 @@ class CloudServer:
         """Receive additional encrypted rows (inserts, fake-tuple padding)."""
         with self._lock:
             self._append_rows(encrypted_rows, bin_assignment)
-            self.network.record(
-                "upload", "append sensitive rows", len(encrypted_rows)
-            )
+            self.network.record("upload", len(encrypted_rows))
 
     def receive_migrated_slice(
         self,
@@ -418,9 +445,7 @@ class CloudServer:
         """
         with self._lock:
             self._append_rows(encrypted_rows, bin_assignment)
-            self.network.record(
-                "migration-in", "install migrated bin slices", len(encrypted_rows)
-            )
+            self.network.record("migration-in", len(encrypted_rows))
 
     def _append_rows(
         self,
@@ -430,28 +455,11 @@ class CloudServer:
         self._invalidate_retrievals()
         self.storage.append(encrypted_rows, bin_assignment)
 
-    def append_non_sensitive(self, rows: Iterable[Dict[str, object]]) -> int:
-        """Receive additional cleartext rows (inserts); returns count added."""
-        with self._lock:
-            if self._non_sensitive is None:
-                raise CloudError("no non-sensitive relation outsourced yet")
-            added = 0
-            for values in rows:
-                row = self._non_sensitive.insert(
-                    values, sensitive=False, validate=False
-                )
-                for index in self._indexes.values():
-                    index.add_row(row)
-                added += 1
-            self._invalidate_retrievals()
-            self.network.record("upload", "append non-sensitive rows", added)
-            return added
-
     def register_non_sensitive_row(self, row: Row) -> None:
         """Account for a cleartext row already present in the stored relation.
 
         Used when the owner inserts directly into the (shared) relation object
-        and the cloud only needs to refresh its indexes and transfer log.
+        and the cloud only needs to refresh its indexes and count the transfer.
         """
         with self._lock:
             if self._non_sensitive is None:
@@ -463,7 +471,7 @@ class CloudServer:
             for index in self._indexes.values():
                 index.add_row(row)
             self._invalidate_retrievals()
-            self.network.record("upload", "append non-sensitive row", 1)
+            self.network.record("upload", 1)
 
     def build_index(self, attribute: str) -> None:
         """Build a hash index over the cleartext relation for ``attribute``."""
@@ -498,28 +506,22 @@ class CloudServer:
         """
         with self._lock:
             rows, assignment = self.storage.slice_bins(bins)
-            self.network.record(
-                "migration-out", f"read {len(set(bins))} bin slices", len(rows)
-            )
+            self.network.record("migration-out", len(rows))
             return rows, assignment
 
     def drop_sensitive_bins(self, bins: Sequence[Optional[int]]) -> int:
         """Remove the slices of ``bins`` this member no longer owns.
 
         The backend maintains its derived structures (tag index, bin store)
-        over the surviving rows; index work counters carry over so
-        observation accounting never runs backwards.  Returns the number of
-        rows dropped.  Over a SQLite backend the whole drop is one keyed
-        ``DELETE`` transaction.
+        over the surviving rows.  Returns the number of rows dropped.  Over
+        a SQLite backend the whole drop is one keyed ``DELETE`` transaction.
         """
         with self._lock:
             dropped = self.storage.drop_bins(bins)
             if not dropped:
                 return 0
             self._invalidate_retrievals()
-            self.network.record(
-                "migration-drop", f"drop {len(set(bins))} bin slices", dropped
-            )
+            self.network.record("migration-drop", dropped)
             return dropped
 
     def close(self) -> None:
@@ -600,18 +602,6 @@ class CloudServer:
         rows = storage.all_rows()
         return scheme.search(rows, tokens), len(rows)
 
-    def _charge_cached_non_sensitive(self, attribute: str, count: int) -> None:
-        """Replicate the counters a cache-served cleartext lookup skips."""
-        self.stats.non_sensitive_probes += count
-        if self.use_indexes and attribute in self._indexes:
-            self._indexes[attribute].probe_count += count
-
-    def _charge_cached_sensitive(self, token_count: int, rows_scanned: int) -> None:
-        """Replicate the counters a cache-served encrypted search skips."""
-        if self._tag_index is not None:
-            self._tag_index.probe_count += token_count
-            self._tag_index.rows_examined += rows_scanned
-
     def _compute_retrieval(self, request: BatchRequest) -> _Retrieval:
         """Run one distinct request's real compute and intern the results.
 
@@ -619,11 +609,12 @@ class CloudServer:
         cleartext selection is a deterministic function of (attribute,
         value tuple) and the encrypted search of (bin, token tuple), so a
         pair miss whose half was already computed for *another* pair reuses
-        it.  The reuse charges the same probe/scan counters the fresh
-        compute would have (via the ``_charge_cached_*`` helpers the
-        pair-level cache already uses), so interning depth is invisible in
-        the adversarial accounting; only scheme-internal crypto-op tallies
-        reflect it, exactly as documented on :meth:`process_batch`.
+        it.  A reused cleartext half charges the ``non_sensitive_probes``
+        the fresh lookup would have, and the per-query sensitive statistics
+        are charged by :meth:`_serve_locked` either way, so interning depth
+        is invisible in ``CloudStatistics``; only work counters (index
+        probes, scheme crypto-op tallies) reflect it, exactly as documented
+        on :meth:`process_batch`.
         """
         non_sensitive_rows: List[Row] = []
         if request.cleartext_values:
@@ -636,9 +627,7 @@ class CloudServer:
                 self._ns_half_cache[ns_key] = non_sensitive_rows
             else:
                 non_sensitive_rows = cached_ns
-                self._charge_cached_non_sensitive(
-                    request.attribute, len(request.cleartext_values)
-                )
+                self.stats.non_sensitive_probes += len(request.cleartext_values)
 
         encrypted_matches: List[EncryptedRow] = []
         sensitive_scanned = 0
@@ -652,7 +641,6 @@ class CloudServer:
                 self._s_half_cache[s_key] = (encrypted_matches, sensitive_scanned)
             else:
                 encrypted_matches, sensitive_scanned = cached_s
-                self._charge_cached_sensitive(len(request.tokens), sensitive_scanned)
 
         total_returned = len(non_sensitive_rows) + len(encrypted_matches)
         response = QueryResponse(
@@ -684,12 +672,12 @@ class CloudServer:
         """Serve one request through the interned-retrieval hot path.
 
         Every query — cache hit or miss — gets its own query id, view-log
-        record, statistics increments, and network transfer entry; only the
+        record, statistics increments, and counted network transfer; only the
         *compute* (index probes, scans, scheme matching, tuple building) is
         shared between repeats of the same request.
 
         The whole serve — id allocation, compute-or-intern, counter bumps,
-        transfer entry, view record — happens under the server lock, so a
+        transfer count, view record — happens under the server lock, so a
         concurrent mutation can never clear a cache this request is reading
         and every query's observables land as one atomic unit.
         """
@@ -700,31 +688,22 @@ class CloudServer:
         query_id = self._queries_issued
         self._queries_issued += 1
 
+        stats = self.stats
         retrieval = self._retrievals.get(request)
         if retrieval is None:
             retrieval = self._compute_retrieval(request)
             self._retrievals[request] = retrieval
         else:
-            # Charge the per-query counters the skipped compute would have
-            # produced, so interning is invisible in the accounting.
-            if retrieval.cleartext_value_count:
-                self._charge_cached_non_sensitive(
-                    request.attribute, retrieval.cleartext_value_count
-                )
-            if retrieval.token_count:
-                self._charge_cached_sensitive(
-                    retrieval.token_count, retrieval.sensitive_scanned
-                )
+            # Charge the probes the skipped cleartext lookup would have
+            # made, so interning is invisible in the statistics.
+            stats.non_sensitive_probes += retrieval.cleartext_value_count
 
-        stats = self.stats
         if retrieval.token_count:
             stats.sensitive_rows_scanned += retrieval.sensitive_scanned
             stats.sensitive_tokens_processed += retrieval.token_count
 
         response = retrieval.response
-        self.network.record(
-            "download", "query results", response.total_returned
-        )
+        self.network.record("download", response.total_returned)
 
         stats.queries_served += 1
         stats.non_sensitive_rows_returned += len(response.non_sensitive_rows)
@@ -778,10 +757,10 @@ class CloudServer:
         path alike) without recomputing the lookup or the encrypted search.
         Deduplication never merges queries' observable effects: each request
         still produces its own query id, adversarial view,
-        ``CloudStatistics`` and index-counter increments, and network
-        transfer, exactly as if served from scratch.  Only the compute is
-        shared, so counters *inside* a scheme that tally cryptographic
-        operations actually performed will reflect the deduplication.
+        ``CloudStatistics`` increments, and network transfer, exactly as if
+        served from scratch.  Only the compute is shared, so work counters
+        that tally index probes or cryptographic operations actually
+        performed will reflect the deduplication.
 
         The lock is taken once for the whole batch, so a batch's query ids
         (and its adversarial-view order) stay contiguous even when other
@@ -794,50 +773,22 @@ class CloudServer:
     def reset_observations(self) -> None:
         """Clear adversarial views and counters (between experiments)."""
         with self._lock:
-            self.view_log.clear()
-            self.stats = CloudStatistics()
-            self.network.reset()
+            ObservationSnapshot.cleared(self).restore(self)
 
     # -- crash semantics -----------------------------------------------------------
     def observation_snapshot(self) -> ObservationSnapshot:
         """Capture the server's observable side effects (see the snapshot doc)."""
         with self._lock:
-            return ObservationSnapshot(
-                view_count=len(self.view_log),
-                stats=self.stats.as_tuple(),
-                network_log_length=len(self.network.log),
-                queries_issued=self._queries_issued,
-                index_probe_counts=tuple(
-                    (attribute, index.probe_count)
-                    for attribute, index in self._indexes.items()
-                ),
-                tag_probe_count=(
-                    self._tag_index.probe_count if self._tag_index is not None else 0
-                ),
-                tag_rows_examined=(
-                    self._tag_index.rows_examined
-                    if self._tag_index is not None
-                    else 0
-                ),
-            )
+            return ObservationSnapshot.of(self)
 
     def restore_observations(self, snapshot: ObservationSnapshot) -> None:
         """Roll observable side effects back to ``snapshot``.
 
         Models a member crash: everything the member buffered for the
-        in-flight batch — views, statistics, network log entries, index
-        counters, the query-id counter — is lost with the process, leaving
-        only the state that existed when the batch started.  Durable storage
-        (relations, ciphertexts, indexes' contents) is untouched.
+        in-flight batch — views, statistics, counted transfers, the query-id
+        counter — is lost with the process, leaving only the state that
+        existed when the batch started.  Durable storage (relations,
+        ciphertexts, indexes' contents) is untouched.
         """
         with self._lock:
-            del self.view_log.views[snapshot.view_count:]
-            self.stats = CloudStatistics.from_tuple(snapshot.stats)
-            self.network.truncate_log(snapshot.network_log_length)
-            self._queries_issued = snapshot.queries_issued
-            for attribute, probe_count in snapshot.index_probe_counts:
-                if attribute in self._indexes:
-                    self._indexes[attribute].probe_count = probe_count
-            if self._tag_index is not None:
-                self._tag_index.probe_count = snapshot.tag_probe_count
-                self._tag_index.rows_examined = snapshot.tag_rows_examined
+            snapshot.restore(self)

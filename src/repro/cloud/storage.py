@@ -25,10 +25,10 @@ invariants that make this work:
 * a bin scan serves the bin's slice in append order followed by the
   unassigned rows in append order, exactly as the dict-of-lists store does.
 
-The tag index work counters (``probe_count`` / ``rows_examined``) always live
-in Python attributes — :class:`SQLiteTagIndex` is a thin probe shim over the
-``tags`` table — so observation snapshots stay O(1) integer captures and
-crash rollback never touches the database.
+The tag index work counters (``probe_count`` / ``rows_examined``) live in
+Python attributes — :class:`SQLiteTagIndex` is a thin probe shim over the
+``tags`` table — and count the probes each index actually made; they are
+not observations, so crash rollback never touches them or the database.
 
 Durability and transactions
 ---------------------------
@@ -278,11 +278,8 @@ class MemoryBackend(StorageBackend):
         self._rows = keep
         if self._tag_index is not None:
             assert self._scheme is not None
-            rebuilt = EncryptedTagIndex(self._scheme)
-            rebuilt.add_rows(self._rows, 0)
-            rebuilt.probe_count = self._tag_index.probe_count
-            rebuilt.rows_examined = self._tag_index.rows_examined
-            self._tag_index = rebuilt
+            self._tag_index = EncryptedTagIndex(self._scheme)
+            self._tag_index.add_rows(self._rows, 0)
         if self._bin_store is not None:
             self._bin_store = {}
             self._unassigned = []
@@ -309,9 +306,7 @@ class SQLiteTagIndex:
     """Probe shim giving the SQLite ``tags`` table the tag-index surface.
 
     Buckets live in the database; the work counters live here, as plain
-    Python integers, so :meth:`CloudServer.observation_snapshot` /
-    ``restore_observations`` and the process-member observation deltas treat
-    both backends identically.
+    Python integers, exactly as on :class:`EncryptedTagIndex`.
     """
 
     _NO_ENTRIES: List[Tuple[int, EncryptedRow]] = []

@@ -209,7 +209,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
         reproducible benchmarks.
     force_strategy / force_layout:
         Overrides forwarded to the planner (used by the Figure 6c sweep).
-    multi_cloud / shard_policy / shard_max_workers:
+    multi_cloud / shard_policy:
         Attaching a :class:`MultiCloud` makes ``setup()`` additionally shard
         the encrypted relation across its members (bins assigned by a
         :class:`ShardRouter` under ``shard_policy``) and unlocks
@@ -241,14 +241,12 @@ class QueryBinningEngine(_PartitionedEngineBase):
         force_layout: Optional[Tuple[int, int]] = None,
         multi_cloud: Optional[MultiCloud] = None,
         shard_policy: str = "hash",
-        shard_max_workers: Optional[int] = None,
         replication_factor: int = 1,
     ):
         super().__init__(partition, attribute, scheme, cloud)
         self.add_fake_tuples = add_fake_tuples
         self.multi_cloud = multi_cloud
         self.shard_policy = shard_policy
-        self.shard_max_workers = shard_max_workers
         self.replication_factor = replication_factor
         self.shard_router: Optional[ShardRouter] = None
         self._lifecycle: Optional[FleetLifecycleManager] = None
@@ -394,7 +392,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
     def fleet_lifecycle(
         self,
         probe_timeout: Optional[float] = None,
-        validate_transitions: bool = True,
     ) -> FleetLifecycleManager:
         """The lifecycle manager driving this engine's fleet membership.
 
@@ -404,8 +401,8 @@ class QueryBinningEngine(_PartitionedEngineBase):
         the manager must drive transitions from the fresh one.  Router
         changes the manager performs are adopted by the engine immediately,
         so sharded execution routes through the new membership from the next
-        batch on.  ``probe_timeout`` / ``validate_transitions`` apply when
-        the manager is (re)built, not retroactively.
+        batch on.  ``probe_timeout`` applies when the manager is (re)built,
+        not retroactively.
         """
         if self.multi_cloud is None:
             raise ConfigurationError(
@@ -425,7 +422,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
                 fleet,
                 self.shard_router,
                 probe_timeout=probe_timeout,
-                validate_transitions=validate_transitions,
                 on_router_change=adopt_router,
             )
             self._lifecycle = manager
@@ -726,7 +722,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         return self.multi_cloud.process_batch(
             requests,
             self.shard_router,
-            max_workers=self.shard_max_workers,
             response_consumer=decrypt_early,
         )
 
@@ -739,49 +734,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
         :mod:`repro.extensions.inserts` handles incrementally.
         """
         with self._lock:
-            self._insert_locked(values, sensitive)
-
-    def _insert_locked(self, values: Dict[str, object], sensitive: bool) -> None:
-        self._require_setup()
-        rid = next(self._insert_rid_counter)
-        if sensitive:
-            row = self.partition.sensitive.insert(
-                values, sensitive=True, rid=rid, validate=False
-            )
-            encrypted = self.scheme.encrypt_rows([row], self.attribute)
-            bin_assignment: Dict[int, int] = {}
-            needs_bin = self._wants_bin_store() or self.multi_cloud is not None
-            if needs_bin and self.layout is not None:
-                location = self.layout.locate_sensitive(values[self.attribute])
-                if location is not None:
-                    bin_assignment[rid] = location[0]
-            self.cloud.append_sensitive(
-                encrypted,
-                bin_assignment=bin_assignment if self._wants_bin_store() else {},
-            )
-            if self.multi_cloud is not None and self.shard_router is not None:
-                self.multi_cloud.append_sensitive_sharded(
-                    encrypted, bin_assignment, self.shard_router
-                )
-            # Owner metadata changed (address books, occurrence counters):
-            # memoized tokens, the requests carrying them, and the bin's
-            # plaintexts may now be stale.
-            self._invalidate()
-            assert self.metadata is not None
-            counts = self.metadata.sensitive_counts
-            counts[values[self.attribute]] = counts.get(values[self.attribute], 0) + 1
-        else:
-            row = self.partition.non_sensitive.insert(
-                values, sensitive=False, rid=rid, validate=False
-            )
-            # The cloud stores the same relation object, so only its indexes
-            # and transfer accounting need refreshing.
-            self.cloud.register_non_sensitive_row(row)
-            if self.multi_cloud is not None:
-                self.multi_cloud.register_non_sensitive_row(row)
-            assert self.metadata is not None
-            counts = self.metadata.non_sensitive_counts
-            counts[values[self.attribute]] = counts.get(values[self.attribute], 0) + 1
+            self._insert_many_locked([(values, sensitive)])
 
     def insert_many(
         self, rows: Sequence[Tuple[Dict[str, object], bool]]

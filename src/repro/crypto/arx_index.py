@@ -155,19 +155,13 @@ class ArxIndexScheme(EncryptedSearchScheme):
     def indexed_search(self, index, tokens: Sequence[SearchToken]) -> List[EncryptedRow]:
         """Per-token probes (Arx returns one row per token, in token order).
 
-        Uses the index's batch probe when available; token order and
-        multiplicity — and the per-key work counters — are identical to the
-        per-token loop.
+        Uses the index's batch probe; token order and multiplicity — and the
+        per-key work counters — are identical to the per-token loop.
         """
         matches: List[EncryptedRow] = []
         extend = matches.extend
-        probe_many = getattr(index, "probe_many", None)
-        if probe_many is not None:
-            for bucket in probe_many([token.payload for token in tokens]):
-                extend(row for _position, row in bucket)
-        else:  # pragma: no cover - index without a batch probe surface
-            for token in tokens:
-                extend(row for _position, row in index.probe(token.payload))
+        for bucket in index.probe_many([token.payload for token in tokens]):
+            extend(row for _position, row in bucket)
         return matches
 
     # -- metadata accessors -----------------------------------------------------

@@ -227,21 +227,16 @@ class EncryptedSearchScheme(abc.ABC):
         multiplicity/order semantics (e.g. Arx's per-token probing) override
         this so the indexed and linear paths stay bit-identical.
 
-        Probes go through the index's batch entry point when it has one
-        (``probe_many``), which charges the same per-key ``probe_count`` /
-        ``rows_examined`` increments as a per-key loop would.
+        Probes go through the index's batch entry point (``probe_many``),
+        which charges the same per-key ``probe_count`` / ``rows_examined``
+        increments as a per-key loop would.
         """
         token_index_key = self.token_index_key
         keys = [key for key in map(token_index_key, tokens) if key is not None]
         matched: Dict[int, EncryptedRow] = {}
         update = matched.update  # bulk-insert each bucket (positions are unique)
-        probe_many = getattr(index, "probe_many", None)
-        if probe_many is not None:
-            for bucket in probe_many(keys):
-                update(bucket)
-        else:  # pragma: no cover - index without a batch probe surface
-            for key in keys:
-                update(index.probe(key))
+        for bucket in index.probe_many(keys):
+            update(bucket)
         return [row for _position, row in sorted(matched.items())]
 
     # -- conveniences shared by all schemes ---------------------------------

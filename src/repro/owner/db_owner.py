@@ -55,7 +55,6 @@ class DBOwner:
         permutation_seed: Optional[int] = None,
         num_clouds: Optional[int] = None,
         shard_policy: str = "hash",
-        shard_max_workers: Optional[int] = None,
         replication_factor: int = 1,
         storage_backend: str = "memory",
         storage_dir: Optional[str] = None,
@@ -64,10 +63,9 @@ class DBOwner:
         :class:`MultiCloud` fleet of that size in addition to the reference
         server, unlocking ``execute_workload(..., placement="sharded")``;
         ``shard_policy`` picks how bins map to members (``"hash"`` or
-        ``"range"``) and ``shard_max_workers`` bounds the fleet's service
-        threads (default: one per member).  ``replication_factor`` (≥1, at
-        most ``num_clouds - 1``) stores each sensitive bin's slice on that
-        many members so sharded execution survives member failures; replica
+        ``"range"``).  ``replication_factor`` (≥1, at most
+        ``num_clouds - 1``) stores each sensitive bin's slice on that many
+        members so sharded execution survives member failures; replica
         placement respects the non-collusion rules (a bin's replica never
         lands on a member serving its paired cleartext traffic)."""
         self.relation = relation
@@ -85,7 +83,6 @@ class DBOwner:
         self._permutation_seed = permutation_seed
         self._num_clouds = num_clouds
         self._shard_policy = shard_policy
-        self._shard_max_workers = shard_max_workers
         self._replication_factor = replication_factor
         self.partition: PartitionResult = partition_relation(relation, policy)
         self._engines: Dict[str, QueryBinningEngine] = {}
@@ -165,7 +162,6 @@ class DBOwner:
             rng=rng,
             multi_cloud=multi_cloud,
             shard_policy=self._shard_policy,
-            shard_max_workers=self._shard_max_workers,
             replication_factor=self._replication_factor,
         )
         engine.setup()

@@ -310,27 +310,33 @@ class ExecutionParityHarness:
     ) -> List[Tuple[Optional[AdversarialView], Optional[AdversarialView]]]:
         """(sensitive-half view, cleartext-half view) per retrieving query.
 
-        Rebuilds the request stream (a pure owner-side computation) and
-        replays the router's placement plan to look each half's view up in
-        the per-server logs — the same mapping the merge step uses for
-        responses, applied to views.
+        Looks each half's view up where the fleet's last batch served it
+        (``last_report.placements``), after checking against the rebuilt
+        request stream (a pure owner-side computation) that every half was
+        served by the member the router picks for it.
         """
         assert run.fleet is not None and run.engine.shard_router is not None
+        report = run.fleet.last_report
+        assert report is not None, "run a sharded workload first"
         requests, _slots = run.engine.build_requests(list(workload))
-        _batches, placements = run.fleet.split_requests(
-            requests, run.engine.shard_router
-        )
+        assert len(report.placements) == len(requests)
+        fleet, router = run.fleet, run.engine.shard_router
+
+        def view_at(placement):
+            if placement is None:
+                return None
+            server_index, position = placement
+            return fleet[server_index].view_log.views[position]
+
         pairs = []
-        for sensitive_placement, non_sensitive_placement in placements:
-            sensitive_view = None
-            if sensitive_placement is not None:
-                server_index, position = sensitive_placement
-                sensitive_view = run.fleet[server_index].view_log.views[position]
-            non_sensitive_view = None
-            if non_sensitive_placement is not None:
-                server_index, position = non_sensitive_placement
-                non_sensitive_view = run.fleet[server_index].view_log.views[position]
-            pairs.append((sensitive_view, non_sensitive_view))
+        for request, placements in zip(requests, report.placements):
+            served_by = tuple(
+                None if placement is None else placement[0]
+                for placement in placements
+            )
+            assert served_by == router.route(request)
+            sensitive_placement, non_sensitive_placement = placements
+            pairs.append((view_at(sensitive_placement), view_at(non_sensitive_placement)))
         return pairs
 
     # -- view content --------------------------------------------------------
@@ -712,10 +718,12 @@ class FaultInjectionHarness(ExecutionParityHarness):
         """How many half requests each member serves on a healthy run."""
         assert run.fleet is not None and run.engine.shard_router is not None
         requests, _slots = run.engine.build_requests(list(workload))
-        per_server, _placements = run.fleet.split_requests(
-            requests, run.engine.shard_router
-        )
-        return [len(batch) for batch in per_server]
+        loads = [0] * len(run.fleet)
+        for request in requests:
+            for member in run.engine.shard_router.route(request):
+                if member is not None:
+                    loads[member] += 1
+        return loads
 
     def busiest_member(
         self, run: StrategyRun, workload: Sequence[object]

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cloud.indexes import HashIndex, SortedIndex
-from repro.cloud.multi_cloud import MultiCloud
+from repro.cloud.multi_cloud import MultiCloud, ShardRouter
 from repro.cloud.network import NetworkModel
-from repro.cloud.server import CloudServer
+from repro.cloud.server import BatchRequest, CloudServer
 from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.data.relation import Relation
 from repro.data.schema import Attribute, Schema
@@ -18,6 +18,26 @@ def keyed_relation(num_rows=12):
     for i in range(num_rows):
         relation.insert({"key": f"k{i % 4}", "payload": str(i)})
     return relation
+
+
+def sharded_fleet(count=2):
+    """A fleet holding one sensitive bin, a router, and a request for ``k0``."""
+    relation = keyed_relation()
+    scheme = NonDeterministicScheme()
+    encrypted = scheme.encrypt_rows(list(relation.rows)[:4], "key")
+    router = ShardRouter(1, 1, count)
+    fleet = MultiCloud(count=count)
+    fleet.outsource_sharded(
+        "key", relation, encrypted, scheme, {row.rid: 0 for row in encrypted}, router
+    )
+    request = BatchRequest(
+        attribute="key",
+        cleartext_values=("k0",),
+        tokens=tuple(scheme.tokens_for_values(["k0"], "key")),
+        sensitive_bin_index=0,
+        non_sensitive_bin_index=0,
+    )
+    return fleet, router, request
 
 
 class TestHashIndex:
@@ -97,24 +117,25 @@ class TestNetworkModel:
 
     def test_transfer_and_logging(self):
         network = NetworkModel(latency_seconds=0.0)
-        seconds = network.record("download", "results", tuples=100)
+        seconds = network.record("download", tuples=100)
         assert seconds > 0
         assert network.total_tuples("download") == 100
         assert network.total_seconds() == pytest.approx(seconds)
 
     def test_direction_filters(self):
         network = NetworkModel()
-        network.record("upload", "outsource", tuples=10)
-        network.record("download", "results", tuples=5)
+        network.record("upload", tuples=10)
+        network.record("download", tuples=5)
         assert network.total_tuples("upload") == 10
         assert network.total_tuples("download") == 5
         assert network.total_tuples() == 15
 
     def test_reset(self):
         network = NetworkModel()
-        network.record("upload", "x", tuples=1)
+        network.record("upload", tuples=1)
         network.reset()
-        assert network.total_seconds() == 0.0 and len(network.log) == 0
+        assert network.total_seconds() == 0.0 and network.total_tuples() == 0
+        assert network.total_bytes() == 0 and network.transfers() == 0
 
 
 class TestCloudServer:
@@ -170,8 +191,8 @@ class TestCloudServer:
         more = scheme.encrypt_rows(list(keyed_relation().rows)[:2], "key")
         server.append_sensitive(more)
         assert server.encrypted_row_count == before + 2
-        added = server.append_non_sensitive([{"key": "k7", "payload": "x"}])
-        assert added == 1
+        row = server.non_sensitive_relation.insert({"key": "k7", "payload": "x"})
+        server.register_non_sensitive_row(row)
         response = server.process_request("key", ["k7"], [])
         assert len(response.non_sensitive_rows) == 1
 
@@ -194,36 +215,39 @@ class TestMultiCloud:
         with pytest.raises(CloudError):
             MultiCloud(count=1)
 
-    def test_broadcast_and_fan_out(self):
-        clouds = MultiCloud(count=2)
-        relation = keyed_relation()
-        clouds.broadcast_non_sensitive(relation)
-        scheme = NonDeterministicScheme()
-        rows = list(relation.rows)[:4]
-        encrypted = scheme.encrypt_rows(rows, "key")
-        clouds.distribute_sensitive([encrypted, encrypted], scheme)
-        tokens = scheme.tokens_for_values(["k0"], "key")
-        responses = clouds.fan_out("key", ["k0"], [tokens, tokens])
-        assert len(responses) == 2
-        # cleartext request charged only to the first server
-        assert responses[1].non_sensitive_rows == []
+    def test_cleartext_half_charged_to_one_member(self):
+        fleet, router, request = sharded_fleet()
+        (response,) = fleet.process_batch([request], router)
+        assert len(response.non_sensitive_rows) == 3
+        assert len(response.encrypted_rows) == 1
+        (((token_member, _), (cleartext_member, _)),) = fleet.last_report.placements
+        assert token_member != cleartext_member
+        # the cleartext request is charged only to the member serving it
+        token_stats = fleet.servers[token_member].stats
+        cleartext_stats = fleet.servers[cleartext_member].stats
+        assert token_stats.non_sensitive_probes == 0
+        assert token_stats.non_sensitive_rows_returned == 0
+        assert cleartext_stats.non_sensitive_rows_returned == 3
+        assert cleartext_stats.sensitive_tokens_processed == 0
 
     def test_distribution_shape_checked(self):
-        clouds = MultiCloud(count=3)
-        scheme = NonDeterministicScheme()
+        fleet = MultiCloud(count=3)
+        wrong_size = ShardRouter(1, 1, 2)
         with pytest.raises(CloudError):
-            clouds.distribute_sensitive([[], []], scheme)
+            fleet.outsource_sharded(
+                "key", keyed_relation(), [], NonDeterministicScheme(), {}, wrong_size
+            )
         with pytest.raises(CloudError):
-            clouds.fan_out("key", [], [[], []])
+            fleet.process_batch(
+                [BatchRequest(attribute="key", cleartext_values=("k0",))], wrong_size
+            )
 
     def test_view_isolation_per_server(self):
-        clouds = MultiCloud(count=2)
-        relation = keyed_relation()
-        clouds.broadcast_non_sensitive(relation)
-        scheme = NonDeterministicScheme()
-        encrypted = scheme.encrypt_rows(list(relation.rows)[:4], "key")
-        clouds.distribute_sensitive([encrypted, []], scheme)
-        clouds.fan_out("key", ["k0"], [scheme.tokens_for_values(["k0"], "key"), []])
-        sizes = clouds.single_server_view_sizes()
-        assert sizes["cloud-0"] == 1 and sizes["cloud-1"] == 1
-        assert clouds.total_transfer_seconds() > 0
+        fleet, router, request = sharded_fleet()
+        fleet.process_batch([request], router)
+        views = {server.name: list(server.view_log) for server in fleet.servers}
+        assert len(views["cloud-0"]) == 1 and len(views["cloud-1"]) == 1
+        # no member's view pairs a cleartext request with a token request
+        for (view,) in views.values():
+            assert not (view.non_sensitive_request and view.sensitive_request_size)
+        assert sum(server.network.total_seconds() for server in fleet.servers) > 0

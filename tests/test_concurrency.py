@@ -217,7 +217,7 @@ class TestCloudServerConcurrentServe:
 
 
 class TestNetworkModelCounters:
-    """Satellite pin: transfer log and wire-byte counter atomicity."""
+    """Satellite pin: transfer totals atomicity."""
 
     def test_counters_are_exact_under_contention(self):
         network = NetworkModel()
@@ -227,8 +227,7 @@ class TestNetworkModelCounters:
         def hammer(worker):
             try:
                 for i in range(per_worker):
-                    network.record("download", f"w{worker}", tuples=3)
-                    network.add_wire_bytes(7)
+                    network.record("download", tuples=3)
             except Exception as exc:
                 errors.append(exc)
 
@@ -242,9 +241,8 @@ class TestNetworkModelCounters:
             thread.join(timeout=60.0)
         assert not errors, errors
         total = workers * per_worker
-        assert len(network.log) == total
+        assert network.transfers("download") == total
         assert network.total_tuples("download") == 3 * total
-        assert network.wire_bytes == 7 * total
         # the simulated clock is additive: N identical transfers cost
         # exactly N times one transfer, regardless of interleaving
         assert network.total_seconds() == pytest.approx(
@@ -253,8 +251,10 @@ class TestNetworkModelCounters:
 
     def test_snapshot_roundtrip_is_atomic(self):
         network = NetworkModel()
-        network.record("download", "seed", tuples=1)
-        length = len(network.log)
-        network.record("download", "doomed", tuples=5)
-        network.truncate_log(length)
-        assert [entry.description for entry in network.log] == ["seed"]
+        network.record("download", tuples=1)
+        totals = network.totals()
+        network.record("download", tuples=5)
+        network.restore(totals)
+        assert network.totals() == totals
+        assert network.transfers("download") == 1
+        assert network.total_tuples("download") == 1

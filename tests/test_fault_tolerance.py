@@ -309,8 +309,8 @@ class TestFleetDegradation:
 
     def test_crash_restores_observation_snapshot(self, fault_harness):
         """The crash semantics behind stats parity, asserted directly: a
-        mid-batch crash leaves the victim's views, statistics, network log,
-        and query-id counter exactly as they were before the batch."""
+        mid-batch crash leaves the victim's views, statistics, transfer
+        totals, and query-id counter exactly as they were before the batch."""
         harness = fault_harness(DeterministicScheme)
         workload = harness.workload()
         healthy = harness.run("sharded", workload)

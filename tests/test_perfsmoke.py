@@ -17,10 +17,12 @@ Select just these with ``pytest -m perfsmoke``.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from typing import List
 
 import pytest
 
+from repro.cloud import network as network_module
 from repro.cloud.multi_cloud import MultiCloud
 from repro.cloud.process_member import process_backend_available
 from repro.cloud.server import CloudServer
@@ -185,20 +187,54 @@ def test_interned_requests_and_view_templates_are_shared():
     assert request.non_sensitive_half() is request.non_sensitive_half()
 
 
+def test_warm_queries_retain_no_transfer_accounting():
+    """Per-query accounting memory stays flat: a warm query counts its
+    transfer in running totals instead of keeping a record of it, while
+    the view log (the audit's input) still gains one record per query."""
+    dataset = _dataset(num_values=60)
+    engine = _engine(
+        dataset, DeterministicScheme(SecretKey.from_passphrase("perfsmoke"))
+    )
+    values = list(dataset.all_values)
+    for value in values:  # warm: every bin pair's retrieval is interned
+        engine.query(value)
+    queries = 3000
+    views_before = len(engine.cloud.view_log)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for index in range(queries):
+            engine.query(values[index % len(values)])
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(
+        stat.size_diff
+        for stat in after.compare_to(before, "filename")
+        if stat.traceback[0].filename == network_module.__file__
+    )
+    assert retained < 4096, f"{retained} bytes retained by network.py"
+    assert len(engine.cloud.view_log) == views_before + queries
+
+
 def test_observation_snapshot_is_constant_time_shape():
-    """Snapshots hold plain integers (copy-on-write contract): no view or
-    transfer-log copies regardless of how much the server observed."""
+    """Snapshots hold four plain values: no view or transfer copies, and a
+    size that does not grow with how much the server observed."""
     dataset = _dataset(num_values=60)
     engine = _engine(
         dataset, DeterministicScheme(SecretKey.from_passphrase("perfsmoke"))
     )
     engine.execute_workload(_workload(dataset, repeats=2), placement="batched")
+    one_pass = engine.cloud.observation_snapshot()
+    engine.execute_workload(_workload(dataset, repeats=2), placement="batched")
     snapshot = engine.cloud.observation_snapshot()
     assert isinstance(snapshot.view_count, int)
-    assert isinstance(snapshot.network_log_length, int)
+    assert isinstance(snapshot.queries_issued, int)
     assert all(isinstance(value, int) for value in snapshot.stats)
-    flat = [count for _attr, count in snapshot.index_probe_counts]
-    assert all(isinstance(value, int) for value in flat)
+    for direction, totals in snapshot.transfers:
+        assert isinstance(direction, str)
+        assert all(isinstance(value, (int, float)) for value in totals)
+    assert len(snapshot.transfers) == len(one_pass.transfers)
 
 
 VECTOR_SCHEMES = {

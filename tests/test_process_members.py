@@ -91,7 +91,10 @@ class TestProcessBackendParity:
             assert process_member.network.total_tuples() == (
                 thread_member.network.total_tuples()
             )
-            assert len(process_member.network.log) == len(thread_member.network.log)
+            assert (
+                process_member.observation_snapshot()
+                == thread_member.observation_snapshot()
+            )
 
     def test_inserts_through_proxies(self, parity_harness):
         """The non-batch fleet surface (inserts into a live layout) works
@@ -198,10 +201,12 @@ class TestProcessBackendFaults:
         workload = harness.workload()
         # find a victim that actually serves work for this workload
         requests, _slots = engine.build_requests(list(workload))
-        per_server, _placements = fleet.split_requests(
-            requests, engine.shard_router
-        )
-        victim = max(range(len(per_server)), key=lambda i: len(per_server[i]))
+        loads = [0] * len(fleet)
+        for request in requests:
+            for member in engine.shard_router.route(request):
+                if member is not None:
+                    loads[member] += 1
+        victim = max(range(len(loads)), key=loads.__getitem__)
         proxy = fleet[victim]
         proxy._process.terminate()
         proxy._process.join(timeout=5.0)

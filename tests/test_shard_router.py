@@ -195,8 +195,6 @@ class TestValidation:
 
         fleet = MultiCloud(4)
         with pytest.raises(CloudError):
-            fleet.split_requests([_request(0, 0)], ShardRouter(6, 6, 2))
-        with pytest.raises(CloudError):
             fleet.process_batch([_request(0, 0)], ShardRouter(6, 6, 6))
 
     def test_counter_mutating_schemes_declare_concurrency_unsafe(self):

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.cloud.server import CloudServer
+from repro.cloud.server import BatchRequest, CloudServer
 from repro.cloud.storage import (
     STORAGE_BACKENDS,
     MemoryBackend,
@@ -407,17 +407,25 @@ class TestMutationPathInvalidation:
     def test_observation_snapshot_restore_round_trip(self, storage_backend):
         scheme = DeterministicScheme(SecretKey.from_passphrase("mutate"))
         server, _rows, _assignment = outsourced_server(storage_backend, scheme)
+
+        def request(*values):
+            tokens = scheme.tokens_for_values(list(values), "key")
+            return BatchRequest(attribute="key", tokens=tuple(tokens))
+
         try:
-            tokens = scheme.tokens_for_values(["v0"], "key")
-            server._search_sensitive(tokens, None)
+            server.process_batch([request("v0")])
             snapshot = server.observation_snapshot()
-            probes_then = server._tag_index.probe_count
-            server._search_sensitive(
-                scheme.tokens_for_values(["v1", "v2"], "key"), None
-            )
-            assert server._tag_index.probe_count > probes_then
+            stats_then = server.stats.as_tuple()
+            downloads_then = server.network.total_tuples("download")
+            server.process_batch([request("v1", "v2"), request("v0")])
+            assert server.stats.as_tuple() != stats_then
+            assert server.network.total_tuples("download") > downloads_then
+            assert len(server.view_log) == 3
             server.restore_observations(snapshot)
-            assert server._tag_index.probe_count == probes_then
+            assert server.stats.as_tuple() == stats_then
+            assert server.network.total_tuples("download") == downloads_then
+            assert server.network.transfers("download") == 1
+            assert len(server.view_log) == 1
             assert server.observation_snapshot() == snapshot
         finally:
             server.close()

@@ -31,6 +31,7 @@ from repro.cloud.process_member import (
     _HELLO,
     process_backend_available,
 )
+from repro.cloud.server import BatchRequest
 from repro.crypto.arx_index import ArxIndexScheme
 from repro.crypto.deterministic import DeterministicScheme
 from repro.crypto.nondeterministic import NonDeterministicScheme
@@ -388,13 +389,11 @@ class TestFrameChannel:
         sender.close()
         receiver.close()
 
-    def test_round_trip_and_byte_accounting(self, pair):
+    def test_round_trip(self, pair):
         sender, receiver = pair
         message = ("method", ({"rows": list(range(100))},), {"flag": True})
         sender.send_message(message)
         assert receiver.recv_message() == message
-        assert sender.bytes_sent > 0
-        assert receiver.bytes_received == sender.bytes_sent
 
     def test_frame_of_several_mib_round_trips(self, pair):
         sender, receiver = pair
@@ -487,18 +486,28 @@ class TestProcessMemberWire:
         with pytest.raises(ProcessMemberError, match="version mismatch"):
             ProcessMemberProxy(name="mixed")
 
-    def test_rpcs_accumulate_wire_bytes_and_reset_rebaselines(self):
+    def test_rpcs_accumulate_transfers_and_reset_rebaselines(self):
+        schema = Schema([Attribute("key")])
+        relation = Relation("r", schema)
+        for i in range(6):
+            relation.insert({"key": f"k{i % 2}"})
+        request = BatchRequest(attribute="key", cleartext_values=("k0",))
         proxy = ProcessMemberProxy(name="wire")
         try:
-            assert proxy.network.wire_bytes == 0
-            proxy.ping()
-            after_ping = proxy.network.wire_bytes
-            assert after_ping > 0
-            proxy.ping()
-            assert proxy.network.wire_bytes > after_ping
+            proxy.store_non_sensitive(relation)
+            proxy.build_index("key")
+            proxy.process_batch([request])
+            assert proxy.network.transfers("download") == 1
+            one_query = proxy.network.total_tuples("download")
+            assert one_query == 3
+            proxy.process_batch([request])
+            assert proxy.network.transfers("download") == 2
+            assert proxy.network.total_tuples("download") == 2 * one_query
             proxy.reset_observations()
-            assert proxy.network.wire_bytes == 0
-            proxy.ping()
-            assert 0 < proxy.network.wire_bytes <= after_ping * 2
+            assert proxy.network.transfers() == 0 and len(proxy.view_log) == 0
+            proxy.process_batch([request])
+            assert proxy.network.transfers() == 1
+            assert proxy.network.total_tuples("download") == one_query
+            assert proxy.stats.queries_served == 1 and len(proxy.view_log) == 1
         finally:
             proxy.close()
