@@ -11,18 +11,21 @@ single-server batched path as the 1-server baseline.
 
 Two configurations bound the design space:
 
-* ``sharded-linear`` — encrypted indexes off, so every sensitive request is a
-  linear scan of the serving member's slice.  Sharding splits storage
-  bin-by-bin across members, so each member scans ~1/k of the relation: the
-  classic horizontal-scaling contraction, visible in wall clock *and* in the
-  hardware-independent rows-scanned counter.
-* ``sharded-tag-index`` — encrypted indexes on, so per-query cloud work is a
-  few index probes; there is nothing left for a fleet to divide, and the
-  thread-pool coordination overhead makes the sharded path *slower* than one
-  server (≈0.85x in the committed trajectory).  It is included so the
-  trajectory records both regimes honestly: shard when per-query cloud work
-  is the bottleneck, keep one server (or more attributes per fleet) when an
-  index already erased it.
+* ``sharded-linear`` — bin-slice reads off (``use_encrypted_indexes=False``),
+  so every sensitive request is a linear scan of the serving member's
+  store.  Sharding splits storage bin-by-bin across members, so each member
+  scans ~1/k of the relation: the classic horizontal-scaling contraction,
+  visible in wall clock *and* in the hardware-independent rows-scanned
+  counter.
+* ``sharded-bin-slice`` — bin-slice reads on, so per-query cloud work is one
+  bin's slice wherever the bin is stored; there is nothing left for a fleet
+  to divide, and the thread-pool coordination overhead makes the sharded
+  path *slower* than one server (≈0.85x in the committed trajectory, which
+  was measured under the name ``sharded-tag-index`` with an encrypted tag
+  index that has since been deleted).  It is included so the trajectory
+  records both regimes honestly: shard when per-query cloud work is the
+  bottleneck, keep one server (or more attributes per fleet) when the bin
+  slice already erased it.
 
 Methodology: each fleet size serves the workload once to warm the owner's
 per-bin token and plaintext caches, then the best of a few repeat runs is
@@ -135,14 +138,14 @@ def _build_dataset(size: int, seed: int):
         seed=seed,
     )
 
-#: name -> encrypted indexes enabled (scheme is deterministic for both; the
-#: linear config is the scan-bound regime where sharding's work split shows).
+#: name -> bin-slice reads on (scheme is deterministic for both; the linear
+#: config is the scan-bound regime where sharding's work split shows).
 CONFIGS: Dict[str, bool] = {
     "sharded-linear": False,
-    "sharded-tag-index": True,
+    "sharded-bin-slice": True,
 }
 
-QUERY_BUDGET = {"sharded-linear": 240, "sharded-tag-index": 600}
+QUERY_BUDGET = {"sharded-linear": 240, "sharded-bin-slice": 600}
 
 
 def _build_engine(

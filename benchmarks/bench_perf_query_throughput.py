@@ -1,17 +1,18 @@
-"""Cloud query throughput: naive scan vs. tag index vs. bin-addressed store.
+"""Cloud query throughput: linear scan vs. the requested bin's slice.
 
 Unlike the paper-reproduction benchmarks, this one measures the *systems* side
 of the reproduction: how fast the :class:`~repro.cloud.server.CloudServer`
-serves binned requests under each of its three sensitive-side search paths
-(linear scan, :class:`~repro.cloud.indexes.EncryptedTagIndex`, bin-addressed
-store).  The owner-side work (query rewriting, token generation) is done once
-outside the timed region — the benchmark isolates the cloud subsystem the
-index work optimised.  Each indexed path is compared against the linear-scan
-baseline *of the same scheme*, so speedups are like for like:
+serves binned requests when its sensitive-side search reads the requested
+bin's slice versus every stored row (``use_encrypted_indexes=False``).  The
+owner-side work (query rewriting, token generation) is done once outside the
+timed region — the benchmark isolates the cloud subsystem.  Each bin-slice
+config is compared against the linear-scan baseline *of the same scheme*, so
+speedups are like for like:
 
-* ``deterministic`` tags → tag index vs. scanning every ciphertext;
-* ``sse`` (no stable tags, per-row PRF trial-testing) → bin-addressed store
-  vs. trial-testing the whole relation.
+* ``deterministic`` tags → tag matching over one bin's slice vs. over every
+  ciphertext;
+* ``sse`` (per-row PRF trial-testing) → trial-testing one bin's slice vs. the
+  whole relation.
 
 Two metrics per configuration:
 
@@ -20,8 +21,9 @@ Two metrics per configuration:
   (``CloudStatistics.sensitive_rows_scanned``), the hardware-independent
   signal behind the speedup.
 
-Run directly to sweep 1k/10k/100k rows and write the ``BENCH_throughput.json``
-trajectory file::
+Run directly to sweep 1k/10k/100k rows and replace this suite's top-level
+keys in the ``BENCH_throughput.json`` trajectory file (its other sections are
+kept)::
 
     PYTHONPATH=src python benchmarks/bench_perf_query_throughput.py
 
@@ -62,12 +64,12 @@ TUPLES_PER_VALUE = 10
 DEFAULT_SIZES: Tuple[int, ...] = (1_000, 10_000, 100_000)
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
-#: name -> (scheme factory, encrypted indexes enabled, batched, baseline name).
+#: name -> (scheme factory, bin-slice read on, batched, baseline name).
 #: A ``None`` baseline marks the config *as* a baseline for its scheme.
 CONFIGS: Dict[str, Tuple] = {
     "linear-scan": (DeterministicScheme, False, False, None),
-    "tag-index": (DeterministicScheme, True, False, "linear-scan"),
-    "tag-index+batch": (DeterministicScheme, True, True, "linear-scan"),
+    "bin-slice": (DeterministicScheme, True, False, "linear-scan"),
+    "bin-slice+batch": (DeterministicScheme, True, True, "linear-scan"),
     "sse-linear-scan": (SSEScheme, False, False, None),
     "sse-bin-store": (SSEScheme, True, False, "sse-linear-scan"),
 }
@@ -78,8 +80,8 @@ CONFIGS: Dict[str, Tuple] = {
 #: its linear baseline gets the smallest budget.
 QUERY_BUDGET = {
     "linear-scan": 30,
-    "tag-index": 500,
-    "tag-index+batch": 500,
+    "bin-slice": 500,
+    "bin-slice+batch": 500,
     "sse-linear-scan": 3,
     "sse-bin-store": 30,
 }
@@ -152,7 +154,10 @@ def run_throughput_suite(
     seed: int = 29,
     configs: Optional[Sequence[str]] = None,
 ) -> Dict:
-    """Sweep sizes × configurations; optionally write the trajectory JSON.
+    """Sweep sizes × configurations; optionally record them in the trajectory.
+
+    With ``out_path`` set, the result dict's keys replace the same top-level
+    keys of the JSON file there; every other section of the file is kept.
 
     ``configs`` restricts the sweep to a subset of :data:`CONFIGS` (a config
     with a baseline pulls its baseline in automatically) — used by the perf
@@ -179,9 +184,9 @@ def run_throughput_suite(
     for size in sizes:
         dataset = _build_dataset(size, seed)
         entry: Dict = {"relation_rows": size, "results": {}}
-        for name, (scheme_factory, use_indexes, batched, _baseline) in selected.items():
+        for name, (scheme_factory, sliced, batched, _baseline) in selected.items():
             setup_started = time.perf_counter()
-            engine = _build_engine(dataset, scheme_factory, use_indexes)
+            engine = _build_engine(dataset, scheme_factory, sliced)
             setup_seconds = time.perf_counter() - setup_started
             rng = random.Random(seed + 1)
             values = [rng.choice(dataset.all_values) for _ in range(budgets[name])]
@@ -201,7 +206,9 @@ def run_throughput_suite(
             )
         results["sizes"].append(entry)
     if out_path is not None:
-        out_path.write_text(json.dumps(results, indent=2) + "\n")
+        trajectory = json.loads(out_path.read_text()) if out_path.exists() else {}
+        trajectory.update(results)
+        out_path.write_text(json.dumps(trajectory, indent=2) + "\n")
     return results
 
 
@@ -237,16 +244,16 @@ def test_throughput_acceptance_at_100k():
     """
     det = run_throughput_suite(
         sizes=(100_000,),
-        configs=("tag-index", "tag-index+batch"),
-        query_budget={"linear-scan": 20, "tag-index": 300, "tag-index+batch": 300},
+        configs=("bin-slice", "bin-slice+batch"),
+        query_budget={"linear-scan": 20, "bin-slice": 300, "bin-slice+batch": 300},
         out_path=None,
     )
     print_results(det)
     at_100k = det["sizes"][0]["results"]
-    assert at_100k["tag-index"]["speedup_vs_linear"] >= 5.0
-    assert at_100k["tag-index+batch"]["speedup_vs_linear"] >= 5.0
+    assert at_100k["bin-slice"]["speedup_vs_linear"] >= 5.0
+    assert at_100k["bin-slice+batch"]["speedup_vs_linear"] >= 5.0
     linear_scanned = at_100k["linear-scan"]["rows_scanned_per_query"]
-    assert at_100k["tag-index"]["rows_scanned_per_query"] < linear_scanned / 50
+    assert at_100k["bin-slice"]["rows_scanned_per_query"] < linear_scanned / 50
 
     sse = run_throughput_suite(
         sizes=(10_000,),

@@ -1,19 +1,19 @@
 """Storage scaling: serving a 1M-row encrypted store from disk.
 
-Every store before this PR lived in process memory: the encrypted relation
-as a Python list, the tag index as a dict of buckets.  That puts a RAM
-ceiling on the relation size a member can hold — each
+The in-memory backend keeps the encrypted relation as a Python list, grouped
+by sensitive bin in a dict of lists.  That puts a RAM ceiling on the
+relation size a member can hold — each
 :class:`~repro.crypto.base.EncryptedRow` costs a few hundred bytes of
 Python-object overhead on top of its ciphertext.  The SQLite storage engine
-(``storage_backend="sqlite"``) moves all three stores into a per-member
-database file, bounding resident memory by SQLite's page cache instead of
-the relation size.
+(``storage_backend="sqlite"``) moves the store into a per-member database
+file, bounding resident memory by SQLite's page cache instead of the
+relation size.
 
 This benchmark records the trade at scale:
 
 * ``memory_100k`` — the in-memory backend at 100k rows: resident-set growth
   of the store, the derived **per-row memory cost**, and steady-state
-  indexed-probe qps.
+  single-token probe qps.
 * ``sqlite_1m`` — the SQLite backend at **1M rows** (10x the largest store
   any committed benchmark built before): the same measurements, plus the
   database file size.  The acceptance claim is that the 1M-row store serves
@@ -33,9 +33,11 @@ Methodology notes:
   mark would remember every transient chunk ever allocated, while the claim
   is about the steady serving state.  The SQLite scenario runs first, from
   a clean baseline, so freed-arena reuse never flatters it.
-* Serving uses the tag-index probe path (deterministic scheme), the regime
-  a large store would actually run: per-query work is a keyed b-tree lookup
-  returning ~``rows/values`` rows, identical for both backends.
+* Serving sends single-token probes (deterministic scheme), each naming
+  the bin this harness's own assignment gives the probed value
+  (:func:`bin_of`), so a probe reads that bin's slice — ten values' rows,
+  one keyed b-tree range on SQLite — and returns the value's
+  ~``rows/values`` rows; the work is identical for both backends.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ def rss_kb() -> int:
     raise RuntimeError("VmRSS not found in /proc/self/status")
 
 
+def bin_of(rid: int, num_values: int) -> int:
+    """The sensitive bin :func:`build_store` assigns row ``rid``: ten values
+    per bin.  Row ``rid`` holds value ``rid % num_values``, so all rows of
+    value index ``i`` share bin ``bin_of(i, num_values)`` whenever
+    ``num_values`` is a multiple of the bin count, as at every size this
+    harness runs."""
+    return rid % max(1, num_values // 10)
+
+
 def build_store(
     storage_backend: str,
     num_rows: int,
@@ -114,7 +125,7 @@ def build_store(
             for offset in range(take)
         ]
         encrypted = scheme.encrypt_rows(chunk, "key")
-        assignment = {row.rid: row.rid % max(1, num_values // 10) for row in chunk}
+        assignment = {row.rid: bin_of(row.rid, num_values) for row in chunk}
         start = time.perf_counter()
         if built == 0:
             server.store_sensitive(encrypted, scheme, assignment)
@@ -140,15 +151,20 @@ def serve_probes(
     queries: int = SERVE_QUERIES,
     seed: int = 17,
 ) -> Dict[str, object]:
-    """Indexed-probe serving loop; returns qps and the sampled peak VmRSS."""
+    """Single-token probe loop; returns qps and the sampled peak VmRSS.
+
+    Each probe names the bin its value's rows were placed in, so it reads
+    that bin's slice rather than the whole store.
+    """
     rng = random.Random(seed)
-    workload = [values[rng.randrange(len(values))] for _ in range(queries)]
-    tokens = scheme.tokens_for_values(workload, "key")
+    picks = [rng.randrange(len(values)) for _ in range(queries)]
+    tokens = scheme.tokens_for_values([values[index] for index in picks], "key")
+    bins = [bin_of(index, len(values)) for index in picks]
     returned = 0
     peak_kb = rss_kb()
     start = time.perf_counter()
-    for position, token in enumerate(tokens):
-        matches, _examined = server._search_sensitive([token], None)
+    for position, (token, bin_index) in enumerate(zip(tokens, bins)):
+        matches, _examined = server._search_sensitive([token], bin_index)
         returned += len(matches)
         if position % 50 == 0:
             peak_kb = max(peak_kb, rss_kb())

@@ -51,8 +51,8 @@ class FullEncryptionBaseline:
         self.attribute = attribute
         self.scheme = scheme
         # This baseline models the paper's "No-Ind" systems: every encrypted
-        # selection touches every row.  Disable the cloud's encrypted indexes
-        # (also on caller-supplied clouds) so measured behaviour matches the
+        # selection touches every row.  Force the cloud's linear scan (also
+        # on caller-supplied clouds) so measured behaviour matches the
         # modelled full-scan cost and the tuples_scanned accounting below.
         self.cloud = cloud or CloudServer(use_encrypted_indexes=False)
         self.cloud.use_encrypted_indexes = False

@@ -281,10 +281,7 @@ class FleetLifecycleManager:
             )
         server = self.fleet.servers[index]
         server.store_non_sensitive(deployment.non_sensitive)
-        # the empty (not absent) bin assignment matters: it opts the member
-        # into the bin-addressed store, so schemes without a tag index keep
-        # scanning one slice per retrieval once slices are migrated in
-        server.store_sensitive([], deployment.scheme, bin_assignment={})
+        server.store_sensitive([], deployment.scheme)
         server.build_index(deployment.attribute)
 
     def _migrate_to(

@@ -468,9 +468,9 @@ class ShardRouter:
 class MultiCloud:
     """A fixed set of non-colluding cloud servers.
 
-    ``use_indexes`` / ``use_encrypted_indexes`` are forwarded to every member
-    so a fleet can be configured exactly like the single reference server it
-    is compared against.  ``server_factory`` lets tests substitute member
+    ``use_encrypted_indexes`` is forwarded to every member so a fleet can be
+    configured exactly like the single reference server it is compared
+    against.  ``server_factory`` lets tests substitute member
     implementations (e.g. the fault-injecting server); it receives the same
     keyword arguments :class:`CloudServer` takes.  ``member_retries`` is the
     per-member retry budget :meth:`process_batch` spends on a failing member
@@ -495,7 +495,6 @@ class MultiCloud:
     def __init__(
         self,
         count: int = 2,
-        use_indexes: bool = True,
         use_encrypted_indexes: bool = True,
         server_factory: Optional[Callable[..., CloudServer]] = None,
         member_retries: int = 1,
@@ -517,7 +516,6 @@ class MultiCloud:
         # (add_member/replace_member) build new members identical to the
         # originals.
         self._server_factory = server_factory
-        self._use_indexes = use_indexes
         self._use_encrypted_indexes = use_encrypted_indexes
         self._rpc_timeout = rpc_timeout
         #: forwarded to every member (``"memory"`` or ``"sqlite"``); process
@@ -557,7 +555,6 @@ class MultiCloud:
                 name=f"cloud-{index}",
                 server_factory=self._server_factory,
                 rpc_timeout=self._rpc_timeout,
-                use_indexes=self._use_indexes,
                 use_encrypted_indexes=self._use_encrypted_indexes,
                 storage_backend=self._storage_backend,
                 storage_dir=self._storage_dir,
@@ -565,7 +562,6 @@ class MultiCloud:
         make_server = self._server_factory or CloudServer
         return make_server(
             name=f"cloud-{index}",
-            use_indexes=self._use_indexes,
             use_encrypted_indexes=self._use_encrypted_indexes,
             storage_backend=self._storage_backend,
             storage_dir=self._storage_dir,
@@ -717,7 +713,7 @@ class MultiCloud:
             if index in self.departed_members:
                 continue
             server.store_non_sensitive(non_sensitive)
-            server.store_sensitive(rows, scheme, bin_assignment=bins or None)
+            server.store_sensitive(rows, scheme, bin_assignment=bins)
             server.build_index(attribute)
         # Retained so membership changes can initialise fresh members
         # (cleartext relation + scheme + index attribute) without a full

@@ -7,16 +7,12 @@ produced).  It answers the two halves of a partitioned query and, being
 honest-but-curious, faithfully records an :class:`AdversarialView` for every
 request it serves.
 
-The sensitive half is served through whichever of three paths applies, in
-decreasing order of preference:
-
-1. an :class:`~repro.cloud.indexes.EncryptedTagIndex` when the scheme's rows
-   carry stable search keys (``supports_tag_index``) — index probes, no scan;
-2. the *bin-addressed store*: when the owner supplies the sensitive bin
-   assignment at outsourcing time, rows are grouped by bin so a bin retrieval
-   scans exactly one bin's slice, never the whole relation;
-3. the linear scan over all ciphertexts (``scheme.search``), the fallback and
-   the reference semantics the other two paths must reproduce exactly.
+The sensitive half is always answered by ``scheme.search``; only its input
+differs.  The owner sends the sensitive bin assignment with the ciphertexts,
+and the storage backend groups rows by bin, so a request that names its
+sensitive bin searches that bin's slice (plus any rows the owner left
+unplaced).  A request that names no bin searches every stored row: the
+linear scan, which is the reference semantics the slice must reproduce.
 
 Interned retrievals
 -------------------
@@ -35,10 +31,10 @@ Interning never merges queries' observable effects: each request still
 produces its own query id, adversarial view, ``CloudStatistics``
 increments, and network transfer, exactly as if computed from scratch — the
 cache-hit path re-applies the statistics the skipped compute would have
-produced.  Only work counters (the indexes' probe counters, scheme-internal
-tallies such as Paillier's ``homomorphic_ops``) reflect the deduplicated
-compute: they count the probes and cryptographic operations actually
-performed.
+produced.  Only work counters (the hash indexes' probe counters,
+scheme-internal tallies such as Paillier's ``homomorphic_ops``) reflect the
+deduplicated compute: they count the probes and cryptographic operations
+actually performed.
 
 Observations
 ------------
@@ -92,8 +88,8 @@ class CloudStatistics:
     non_sensitive_probes: int = 0
     sensitive_tokens_processed: int = 0
     #: encrypted rows actually examined while answering sensitive sub-queries
-    #: (= relation size per query under a linear scan; far less when the tag
-    #: index or the bin-addressed store applies).
+    #: (= relation size per query under a linear scan; one bin's slice when
+    #: the request names its bin).
     sensitive_rows_scanned: int = 0
 
     def as_tuple(self) -> Tuple[int, ...]:
@@ -288,7 +284,6 @@ class CloudServer:
     def __init__(
         self,
         name: str = "public-cloud",
-        use_indexes: bool = True,
         use_encrypted_indexes: bool = True,
         storage_backend: object = "memory",
         storage_dir: Optional[str] = None,
@@ -301,13 +296,11 @@ class CloudServer:
         :class:`~repro.cloud.storage.StorageBackend` is also accepted."""
         self.name = name
         self.network = NetworkModel()
-        self.use_indexes = use_indexes
-        #: gates both the tag index and the bin-addressed store; turning it
-        #: off forces the linear-scan reference path (benchmark baseline).
+        #: gates the bin-slice read; turning it off forces the linear-scan
+        #: reference path (benchmark baseline).
         self.use_encrypted_indexes = use_encrypted_indexes
-        #: the encrypted stores — rows, tag index, bin store, and the
-        #: rid → sensitive bin assignment slice migration reads — all live
-        #: behind this backend.
+        #: the encrypted store — rows grouped by bin, and the rid → sensitive
+        #: bin assignment slice migration reads — lives behind this backend.
         self.storage: StorageBackend = make_storage_backend(
             storage_backend, member_name=name, directory=storage_dir
         )
@@ -337,21 +330,11 @@ class CloudServer:
         #: helpers nest locked calls.
         self._lock = threading.RLock()
 
-    # -- storage introspection (tests and the process-member worker read these) ----
+    # -- storage introspection (tests read this) -------------------------------------
     @property
-    def _tag_index(self):
-        """The live tag index object (``None`` when the scheme has none)."""
-        return self.storage.tag_index
-
-    @property
-    def _bin_store(self) -> Optional[Dict[int, List[EncryptedRow]]]:
-        """The bin-addressed store as a dict view (``None`` when absent)."""
+    def _bin_store(self) -> Dict[int, List[EncryptedRow]]:
+        """The bin-addressed store as a dict view."""
         return self.storage.bin_store_view()
-
-    @property
-    def _bin_assignment(self) -> Dict[int, int]:
-        """The rid → sensitive-bin assignment as a dict view."""
-        return self.storage.bin_assignment_view()
 
     def _invalidate_retrievals(self) -> None:
         """Drop interned retrievals after any stored-data mutation."""
@@ -391,34 +374,18 @@ class CloudServer:
         Only the scheme's *cloud-side* behaviour (``search``) is exercised by
         the server; the owner keeps the keys.
 
-        ``bin_assignment`` (rid → sensitive bin index) is the optional hint a
-        Query Binning owner sends along: it lets the cloud group ciphertexts
-        by bin so each bin retrieval scans one slice instead of the whole
+        ``bin_assignment`` (rid → sensitive bin index) is what a Query
+        Binning owner sends along: it lets the cloud group ciphertexts by
+        bin so each bin retrieval scans one slice instead of the whole
         relation.  The grouping reveals nothing new — bin membership is
         exactly what the adversary reconstructs from repeated retrievals.
-
-        When a tag index is built, ingest derives every row's index key
-        through the scheme's batch hook
-        (:meth:`~repro.crypto.base.EncryptedSearchScheme.index_keys`), so
-        outsourcing pays one amortised key pass rather than a per-row call.
+        Rows it does not place are scanned by every bin retrieval.
         """
         encrypted_rows = list(encrypted_rows)
         with self._lock:
             self._scheme = scheme
             self._invalidate_retrievals()
-            self.storage.reset(
-                encrypted_rows,
-                scheme,
-                bin_assignment,
-                build_tag_index=(
-                    self.use_encrypted_indexes and scheme.supports_tag_index
-                ),
-                build_bin_store=(
-                    self.use_encrypted_indexes
-                    and not scheme.supports_tag_index
-                    and bin_assignment is not None
-                ),
-            )
+            self.storage.reset(encrypted_rows, bin_assignment)
             self.network.record("upload", len(encrypted_rows))
 
     def append_sensitive(
@@ -512,9 +479,9 @@ class CloudServer:
     def drop_sensitive_bins(self, bins: Sequence[Optional[int]]) -> int:
         """Remove the slices of ``bins`` this member no longer owns.
 
-        The backend maintains its derived structures (tag index, bin store)
-        over the surviving rows.  Returns the number of rows dropped.  Over
-        a SQLite backend the whole drop is one keyed ``DELETE`` transaction.
+        The backend re-places the surviving rows in their bins.  Returns the
+        number of rows dropped.  Over a SQLite backend the whole drop is one
+        keyed ``DELETE`` transaction.
         """
         with self._lock:
             dropped = self.storage.drop_bins(bins)
@@ -562,45 +529,37 @@ class CloudServer:
 
     # -- query processing --------------------------------------------------------
     def _select_non_sensitive(self, attribute: str, values: Sequence[object]) -> List[Row]:
-        relation = self.non_sensitive_relation
-        if self.use_indexes:
-            if attribute not in self._indexes:
-                self.build_index(attribute)
+        index = self._indexes.get(attribute)
+        if index is None:
+            self.build_index(attribute)
             index = self._indexes[attribute]
-            rows = index.lookup_many(values)
-            self.stats.non_sensitive_probes += len(values)
-            return rows
         self.stats.non_sensitive_probes += len(values)
-        return relation.select_in(attribute, values)
+        return index.lookup_many(values)
 
     def _search_sensitive(
         self, tokens: Sequence[SearchToken], sensitive_bin_index: Optional[int]
     ) -> Tuple[List[EncryptedRow], int]:
         """Serve the sensitive half; returns (matches, rows examined).
 
-        Prefers the tag index, then the bin-addressed store, then the linear
-        scan.  ``indexed_search`` probes the index once for the whole token
-        list via ``probe_many``, and ``search`` over a bin slice is one
-        batched pass (e.g. SSE trial decryption with per-token HMAC
-        templates).
+        The one place the read path is chosen: a request that names its
+        sensitive bin searches the bin's slice plus the unplaced rows, and
+        one that does not (or a server built with
+        ``use_encrypted_indexes=False``) searches every stored row.  Either
+        way ``search`` is one batched pass over the candidates (e.g. SSE
+        trial decryption with per-token HMAC templates).
 
-        All three paths return the same rows (parity is covered by tests);
-        only the number of rows examined differs.
+        Under Query Binning a bin's tokens match only rows of that bin, so
+        both inputs return the same rows (parity is covered by tests); only
+        the number of rows examined differs.
         """
         scheme = self._scheme
         if scheme is None:
             raise CloudError("no sensitive relation outsourced yet")
-        storage = self.storage
-        tag_index = storage.tag_index
-        if tag_index is not None:
-            examined_before = tag_index.rows_examined
-            matches = scheme.indexed_search(tag_index, tokens)
-            return matches, tag_index.rows_examined - examined_before
-        if storage.has_bin_store and sensitive_bin_index is not None:
-            candidates = storage.bin_candidates(sensitive_bin_index)
-            return scheme.search(candidates, tokens), len(candidates)
-        rows = storage.all_rows()
-        return scheme.search(rows, tokens), len(rows)
+        if sensitive_bin_index is not None and self.use_encrypted_indexes:
+            candidates = self.storage.bin_candidates(sensitive_bin_index)
+        else:
+            candidates = self.storage.all_rows()
+        return scheme.search(candidates, tokens), len(candidates)
 
     def _compute_retrieval(self, request: BatchRequest) -> _Retrieval:
         """Run one distinct request's real compute and intern the results.
@@ -735,8 +694,8 @@ class CloudServer:
         values of the non-sensitive bin and the opaque tokens of the sensitive
         bin.  Bin indexes serve two roles: they annotate the recorded view
         for later analysis (the adversary could recover them by grouping
-        identical requests), and they address the bin-addressed store when
-        the scheme has no indexable tags.
+        identical requests), and the sensitive one addresses the bin slice
+        the search reads.
         """
         return self._serve(
             BatchRequest(

@@ -1,34 +1,35 @@
-"""Pluggable storage engines for the cloud server's encrypted stores.
+"""Pluggable storage engines for the cloud server's encrypted store.
 
-A :class:`~repro.cloud.server.CloudServer` holds three sensitive-side stores:
-the encrypted relation in storage order, the scheme's tag index (when
-``supports_tag_index``), and the bin-addressed SSE store plus the rid → bin
-assignment used by slice migration.  This module puts all of them behind one
-:class:`StorageBackend` interface so a member can keep them either in process
-memory (:class:`MemoryBackend`, the historical dict/list stores moved here
-verbatim) or in a per-member SQLite file (:class:`SQLiteBackend`) whose size
-is bounded by disk, not RAM.
+A :class:`~repro.cloud.server.CloudServer` keeps one sensitive-side store:
+the encrypted relation in storage order, grouped by sensitive bin (the
+*bin-addressed store*), plus the rid → bin assignment that slice migration
+reads.  This module puts it behind one :class:`StorageBackend` interface so
+a member can keep it either in process memory (:class:`MemoryBackend`) or
+in a per-member SQLite file (:class:`SQLiteBackend`) whose size is bounded
+by disk, not RAM.
+
+Placement
+---------
+Every reset and append places its rows by the bin assignment it carries: a
+row with a bin joins that bin's slice, a row without one joins the
+unassigned overflow that every bin retrieval also scans.  A store
+outsourced without an assignment therefore keeps every row in the overflow,
+and a bin retrieval over it reads the whole relation.  An assignment that
+arrives after its row is recorded for slice migration at once, but moves
+the row out of the overflow only when a drop re-places the survivors.
 
 Parity contract
 ---------------
-Both backends must be *observably identical*: the rows a probe or a bin scan
-returns, their order, and the work counters charged along the way are pinned
-by the cross-backend parity suite (``tests/test_storage.py``).  The ordering
-invariants that make this work:
+Both backends must be *observably identical*: the rows a full read or a bin
+scan returns and their order are pinned by the cross-backend parity suite
+(``tests/test_storage.py``).  The ordering invariants that make this work:
 
 * storage order is append order.  SQLite keeps a monotonically increasing
   ``position`` rowid; after a :meth:`StorageBackend.drop_bins` the surviving
   positions are sparse where the memory backend compacts, but the *relative*
   order — the only thing schemes observe — is identical.
-* a tag-index bucket lists its ``(position, row)`` pairs in insertion order
-  (``ORDER BY position``), matching the in-memory bucket lists.
 * a bin scan serves the bin's slice in append order followed by the
   unassigned rows in append order, exactly as the dict-of-lists store does.
-
-The tag index work counters (``probe_count`` / ``rows_examined``) live in
-Python attributes — :class:`SQLiteTagIndex` is a thin probe shim over the
-``tags`` table — and count the probes each index actually made; they are
-not observations, so crash rollback never touches them or the database.
 
 Durability and transactions
 ---------------------------
@@ -54,8 +55,7 @@ import weakref
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cloud.indexes import EncryptedTagIndex
-from repro.crypto.base import EncryptedRow, EncryptedSearchScheme
+from repro.crypto.base import EncryptedRow
 from repro.exceptions import CloudError
 
 #: accepted ``storage_backend=`` specifications
@@ -63,12 +63,12 @@ STORAGE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
 
 class StorageBackend:
-    """Interface between a :class:`CloudServer` and its sensitive stores.
+    """Interface between a :class:`CloudServer` and its sensitive store.
 
     The server owns the *observable* behaviour — retrieval interning, view
     logs, network charging, invalidation — and delegates every touch of the
-    encrypted relation, the tag index, the bin-addressed store, and the
-    rid → bin assignment to one of these.
+    encrypted relation, its bin-addressed grouping, and the rid → bin
+    assignment to one of these.
     """
 
     #: short name used in diagnostics and benchmark labels
@@ -78,13 +78,10 @@ class StorageBackend:
     def reset(
         self,
         rows: Sequence[EncryptedRow],
-        scheme: EncryptedSearchScheme,
         bin_assignment: Optional[Mapping[int, int]],
-        *,
-        build_tag_index: bool,
-        build_bin_store: bool,
     ) -> None:
-        """Replace all stored state with ``rows`` (a fresh outsourcing)."""
+        """Replace all stored state with ``rows`` (a fresh outsourcing),
+        placed by ``bin_assignment``."""
         raise NotImplementedError
 
     def append(
@@ -92,7 +89,7 @@ class StorageBackend:
         rows: Sequence[EncryptedRow],
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
-        """Append ``rows`` in storage order, extending derived structures."""
+        """Append ``rows`` in storage order, placed by ``bin_assignment``."""
         raise NotImplementedError
 
     # -- reads --------------------------------------------------------------------
@@ -121,23 +118,13 @@ class StorageBackend:
     def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
         """Remove the slices of ``bins``; returns the number of rows dropped.
 
-        Derived structures (tag index, bin store) are maintained over the
-        survivors; tag-index work counters carry over so observation
-        accounting never runs backwards.
+        The survivors are re-placed from the recorded assignment, so a row
+        whose bin arrived after its append leaves the unassigned overflow.
         """
         raise NotImplementedError
 
-    # -- derived structures -------------------------------------------------------
-    @property
-    def tag_index(self):
-        """The live tag index (``None`` when the scheme has no stable tags)."""
-        raise NotImplementedError
-
-    @property
-    def has_bin_store(self) -> bool:
-        raise NotImplementedError
-
-    def bin_store_view(self) -> Optional[Dict[int, List[EncryptedRow]]]:
+    # -- introspection ------------------------------------------------------------
+    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
         """The bin-addressed store as a dict (introspection/tests only)."""
         raise NotImplementedError
 
@@ -156,15 +143,13 @@ class StorageBackend:
 
 
 class MemoryBackend(StorageBackend):
-    """The historical in-process stores: a row list, dict indexes, dict bins."""
+    """In-process storage: a row list, a dict of bin slices, a dict assignment."""
 
     kind = "memory"
 
     def __init__(self) -> None:
         self._rows: List[EncryptedRow] = []
-        self._scheme: Optional[EncryptedSearchScheme] = None
-        self._tag_index: Optional[EncryptedTagIndex] = None
-        self._bin_store: Optional[Dict[int, List[EncryptedRow]]] = None
+        self._bin_store: Dict[int, List[EncryptedRow]] = {}
         self._unassigned: List[EncryptedRow] = []
         self._bin_assignment: Dict[int, int] = {}
 
@@ -172,45 +157,29 @@ class MemoryBackend(StorageBackend):
     def reset(
         self,
         rows: Sequence[EncryptedRow],
-        scheme: EncryptedSearchScheme,
         bin_assignment: Optional[Mapping[int, int]],
-        *,
-        build_tag_index: bool,
-        build_bin_store: bool,
     ) -> None:
-        self._rows = list(rows)
-        self._scheme = scheme
-        self._tag_index = None
-        self._bin_store = None
+        self._rows = []
+        self._bin_store = {}
         self._unassigned = []
-        self._bin_assignment = dict(bin_assignment) if bin_assignment else {}
-        if build_tag_index:
-            self._tag_index = EncryptedTagIndex(scheme)
-            self._tag_index.add_rows(self._rows, 0)
-        elif build_bin_store:
-            self._bin_store = {}
-            self._place_in_bins(self._rows, bin_assignment or {})
+        self._bin_assignment = {}
+        self.append(rows, bin_assignment)
 
     def append(
         self,
         rows: Sequence[EncryptedRow],
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
-        start_position = len(self._rows)
         self._rows.extend(rows)
         if bin_assignment:
             self._bin_assignment.update(bin_assignment)
-        if self._tag_index is not None:
-            self._tag_index.add_rows(rows, start_position)
-        if self._bin_store is not None:
-            self._place_in_bins(rows, bin_assignment or {})
+        self._place_in_bins(rows, bin_assignment or {})
 
     def _place_in_bins(
         self,
         rows: Sequence[EncryptedRow],
         bin_assignment: Mapping[int, int],
     ) -> None:
-        assert self._bin_store is not None
         for row in rows:
             bin_index = bin_assignment.get(row.rid)
             if bin_index is None:
@@ -235,7 +204,6 @@ class MemoryBackend(StorageBackend):
         return counts
 
     def bin_candidates(self, bin_index: int) -> Sequence[EncryptedRow]:
-        assert self._bin_store is not None
         candidates = self._bin_store.get(bin_index, [])
         if self._unassigned:
             candidates = candidates + self._unassigned
@@ -276,71 +244,17 @@ class MemoryBackend(StorageBackend):
         if not dropped:
             return 0
         self._rows = keep
-        if self._tag_index is not None:
-            assert self._scheme is not None
-            self._tag_index = EncryptedTagIndex(self._scheme)
-            self._tag_index.add_rows(self._rows, 0)
-        if self._bin_store is not None:
-            self._bin_store = {}
-            self._unassigned = []
-            self._place_in_bins(self._rows, self._bin_assignment)
+        self._bin_store = {}
+        self._unassigned = []
+        self._place_in_bins(self._rows, self._bin_assignment)
         return dropped
 
-    # -- derived structures -------------------------------------------------------
-    @property
-    def tag_index(self) -> Optional[EncryptedTagIndex]:
-        return self._tag_index
-
-    @property
-    def has_bin_store(self) -> bool:
-        return self._bin_store is not None
-
-    def bin_store_view(self) -> Optional[Dict[int, List[EncryptedRow]]]:
+    # -- introspection ------------------------------------------------------------
+    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
         return self._bin_store
 
     def bin_assignment_view(self) -> Dict[int, int]:
         return self._bin_assignment
-
-
-class SQLiteTagIndex:
-    """Probe shim giving the SQLite ``tags`` table the tag-index surface.
-
-    Buckets live in the database; the work counters live here, as plain
-    Python integers, exactly as on :class:`EncryptedTagIndex`.
-    """
-
-    _NO_ENTRIES: List[Tuple[int, EncryptedRow]] = []
-
-    def __init__(self, backend: "SQLiteBackend") -> None:
-        self._backend = backend
-        self.probe_count = 0
-        self.rows_examined = 0
-
-    def probe(self, key: bytes) -> List[Tuple[int, EncryptedRow]]:
-        """The (position, row) pairs stored under ``key`` (insertion order)."""
-        self.probe_count += 1
-        entries = self._backend._probe_tag(key)
-        if not entries:
-            return self._NO_ENTRIES
-        self.rows_examined += len(entries)
-        return entries
-
-    def probe_many(
-        self, keys: Sequence[bytes]
-    ) -> List[List[Tuple[int, EncryptedRow]]]:
-        """Batch :meth:`probe` (same per-key counter increments).
-
-        Each key is still one keyed ``SELECT`` against the ``tags`` table;
-        the batch surface exists so schemes can treat both tag-index
-        implementations uniformly.
-        """
-        return [self.probe(key) for key in keys]
-
-    def distinct_count(self) -> int:
-        return self._backend._distinct_tag_count()
-
-    def __len__(self) -> int:
-        return self._backend._tag_entry_count()
 
 
 def _cleanup_sqlite(connection: sqlite3.Connection, path: Optional[str]) -> None:
@@ -358,7 +272,7 @@ def _cleanup_sqlite(connection: sqlite3.Connection, path: Optional[str]) -> None
 
 
 class SQLiteBackend(StorageBackend):
-    """Per-member SQLite storage: one table per store, bin-keyed indexes.
+    """Per-member SQLite storage: two tables, bin-keyed indexes.
 
     Schema:
 
@@ -368,10 +282,8 @@ class SQLiteBackend(StorageBackend):
         (``NULL`` = the unassigned overflow scanned by every bin retrieval),
         mirroring the dict-of-lists store exactly.
     ``bins(rid, bin)``
-        the rid → bin assignment used by slice migration — kept for every
-        scheme, exactly like the memory backend's ``_bin_assignment`` dict.
-    ``tags(key, position)``
-        the tag index's buckets; ``SQLiteTagIndex`` probes this table.
+        the rid → bin assignment used by slice migration, exactly like the
+        memory backend's ``_bin_assignment`` dict.
     """
 
     kind = "sqlite"
@@ -392,12 +304,6 @@ class SQLiteBackend(StorageBackend):
             bin INTEGER NOT NULL
         );
         CREATE INDEX IF NOT EXISTS bins_bin ON bins(bin);
-        CREATE TABLE IF NOT EXISTS tags (
-            key      BLOB NOT NULL,
-            position INTEGER NOT NULL
-        );
-        CREATE INDEX IF NOT EXISTS tags_key ON tags(key);
-        CREATE INDEX IF NOT EXISTS tags_position ON tags(position);
     """
 
     def __init__(
@@ -405,7 +311,6 @@ class SQLiteBackend(StorageBackend):
         path: Optional[str] = None,
         directory: Optional[str] = None,
         member_name: str = "member",
-        synchronous: str = "NORMAL",
     ) -> None:
         if path is None:
             safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in member_name)
@@ -428,11 +333,8 @@ class SQLiteBackend(StorageBackend):
             path, check_same_thread=False, isolation_level=None
         )
         self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute(f"PRAGMA synchronous={synchronous}")
+        self._connection.execute("PRAGMA synchronous=NORMAL")
         self._connection.executescript(self._SCHEMA)
-        self._scheme: Optional[EncryptedSearchScheme] = None
-        self._tag_index: Optional[SQLiteTagIndex] = None
-        self._has_bin_store = False
         self._row_count = 0
         self._next_position = 0
         self._savepoint_depth = 0
@@ -475,80 +377,45 @@ class SQLiteBackend(StorageBackend):
     def reset(
         self,
         rows: Sequence[EncryptedRow],
-        scheme: EncryptedSearchScheme,
         bin_assignment: Optional[Mapping[int, int]],
-        *,
-        build_tag_index: bool,
-        build_bin_store: bool,
     ) -> None:
-        rows = list(rows)
-        assignment = dict(bin_assignment) if bin_assignment else {}
         with self.transaction():
             self._connection.execute("DELETE FROM rows")
             self._connection.execute("DELETE FROM bins")
-            self._connection.execute("DELETE FROM tags")
-            self._scheme = scheme
-            self._tag_index = SQLiteTagIndex(self) if build_tag_index else None
-            self._has_bin_store = build_bin_store
             self._row_count = 0
             self._next_position = 0
-            self._insert_rows(rows, bin_assignment or {})
-            if assignment:
-                self._connection.executemany(
-                    "INSERT OR REPLACE INTO bins(rid, bin) VALUES (?, ?)",
-                    assignment.items(),
-                )
+            self.append(rows, bin_assignment)
 
     def append(
         self,
         rows: Sequence[EncryptedRow],
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
+        place = (bin_assignment or {}).get
         with self.transaction():
-            self._insert_rows(rows, bin_assignment or {})
+            start = self._next_position
+            self._connection.executemany(
+                "INSERT INTO rows(position, rid, ciphertext, search_tag, is_fake,"
+                " placed_bin) VALUES (?, ?, ?, ?, ?, ?)",
+                (
+                    (
+                        start + offset,
+                        row.rid,
+                        row.ciphertext,
+                        row.search_tag,
+                        int(row.is_fake),
+                        place(row.rid),
+                    )
+                    for offset, row in enumerate(rows)
+                ),
+            )
             if bin_assignment:
                 self._connection.executemany(
                     "INSERT OR REPLACE INTO bins(rid, bin) VALUES (?, ?)",
                     bin_assignment.items(),
                 )
-
-    def _insert_rows(
-        self,
-        rows: Sequence[EncryptedRow],
-        placement: Mapping[int, int],
-    ) -> None:
-        """Append ``rows`` at fresh positions, maintaining store and index."""
-        start = self._next_position
-        place = placement.get if self._has_bin_store else (lambda _rid: None)
-        self._connection.executemany(
-            "INSERT INTO rows(position, rid, ciphertext, search_tag, is_fake,"
-            " placed_bin) VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                (
-                    start + offset,
-                    row.rid,
-                    row.ciphertext,
-                    row.search_tag,
-                    int(row.is_fake),
-                    place(row.rid),
-                )
-                for offset, row in enumerate(rows)
-            ),
-        )
-        if self._tag_index is not None:
-            assert self._scheme is not None
-            index_key = self._scheme.index_key
-            self._connection.executemany(
-                "INSERT INTO tags(key, position) VALUES (?, ?)",
-                (
-                    (key, start + offset)
-                    for offset, row in enumerate(rows)
-                    if (key := index_key(row)) is not None
-                ),
-            )
-        added = len(rows)
-        self._row_count += added
-        self._next_position = start + added
+            self._row_count += len(rows)
+            self._next_position = start + len(rows)
 
     @staticmethod
     def _make_row(rid: int, ciphertext, search_tag, is_fake: int) -> EncryptedRow:
@@ -657,10 +524,6 @@ class SQLiteBackend(StorageBackend):
             if not dropped_rows:
                 return 0
             self._connection.executemany(
-                "DELETE FROM tags WHERE position = ?",
-                ((position,) for position, _rid in dropped_rows),
-            )
-            self._connection.executemany(
                 "DELETE FROM rows WHERE position = ?",
                 ((position,) for position, _rid in dropped_rows),
             )
@@ -668,30 +531,18 @@ class SQLiteBackend(StorageBackend):
                 "DELETE FROM bins WHERE rid = ?",
                 ((rid,) for _position, rid in dropped_rows),
             )
-            if self._has_bin_store:
-                # Match the memory backend's post-drop rebuild: surviving
-                # rows are re-placed from the *assignment*, so a row whose
-                # assignment arrived after its append moves out of the
-                # unassigned overflow.
-                self._connection.execute(
-                    "UPDATE rows SET placed_bin ="
-                    " (SELECT bin FROM bins WHERE bins.rid = rows.rid)"
-                )
+            # Match the memory backend's post-drop rebuild: surviving rows
+            # are re-placed from the *assignment*, so a row whose assignment
+            # arrived after its append moves out of the unassigned overflow.
+            self._connection.execute(
+                "UPDATE rows SET placed_bin ="
+                " (SELECT bin FROM bins WHERE bins.rid = rows.rid)"
+            )
             self._row_count -= len(dropped_rows)
         return len(dropped_rows)
 
-    # -- derived structures -------------------------------------------------------
-    @property
-    def tag_index(self) -> Optional[SQLiteTagIndex]:
-        return self._tag_index
-
-    @property
-    def has_bin_store(self) -> bool:
-        return self._has_bin_store
-
-    def bin_store_view(self) -> Optional[Dict[int, List[EncryptedRow]]]:
-        if not self._has_bin_store:
-            return None
+    # -- introspection ------------------------------------------------------------
+    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
         view: Dict[int, List[EncryptedRow]] = {}
         make = self._make_row
         with self._mutex:
@@ -713,36 +564,6 @@ class SQLiteBackend(StorageBackend):
     def bin_assignment_view(self) -> Dict[int, int]:
         with self._mutex:
             return dict(self._connection.execute("SELECT rid, bin FROM bins"))
-
-    # -- tag-index plumbing -------------------------------------------------------
-    def _probe_tag(self, key: bytes) -> List[Tuple[int, EncryptedRow]]:
-        make = self._make_row
-        with self._mutex:
-            return [
-                (position, make(rid, ciphertext, search_tag, is_fake))
-                for position, rid, ciphertext, search_tag, is_fake in (
-                    self._connection.execute(
-                        "SELECT t.position, r.rid, r.ciphertext, r.search_tag,"
-                        " r.is_fake FROM tags t JOIN rows r ON r.position = t.position"
-                        " WHERE t.key = ? ORDER BY t.position",
-                        (key,),
-                    )
-                )
-            ]
-
-    def _distinct_tag_count(self) -> int:
-        with self._mutex:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(DISTINCT key) FROM tags"
-            ).fetchone()
-            return count
-
-    def _tag_entry_count(self) -> int:
-        with self._mutex:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM tags"
-            ).fetchone()
-            return count
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

@@ -107,7 +107,7 @@ class _PartitionedEngineBase:
         returns the same (padded) number of encrypted rows.  All fake source
         rows are built first and encrypted in a single batch call; the second
         return value gives each fake's sensitive bin index (parallel to the
-        first), feeding the cloud's bin-addressed store.
+        first), which places it in the cloud's store.
         """
         sources: List[Row] = []
         source_bins: List[int] = []
@@ -293,15 +293,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self._decrypted_bin_cache.clear()
         self._memo_version = self.layout.version if self.layout is not None else None
 
-    def _wants_bin_store(self) -> bool:
-        """Whether the cloud will use a bin-addressed store for this engine.
-
-        The store applies exactly when encrypted indexes are enabled and the
-        scheme has no indexable tags; both the setup and insert paths consult
-        this so their bin-assignment bookkeeping can never disagree.
-        """
-        return self.cloud.use_encrypted_indexes and not self.scheme.supports_tag_index
-
     # -- setup -----------------------------------------------------------------------
     def setup(self) -> "QueryBinningEngine":
         """Build metadata and bins, encrypt, and outsource both partitions."""
@@ -339,35 +330,24 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self._invalidate()
 
         encrypted = self._encrypt_sensitive_rows()
-        # The bin assignment feeds the cloud's bin-addressed store and the
-        # shard router's row placement — skip the O(n) pass when neither
-        # consumer is attached.
-        needs_bin_assignment = self._wants_bin_store() or self.multi_cloud is not None
-        bin_assignment: Optional[Dict[int, int]] = (
-            {} if needs_bin_assignment else None
-        )
-        if bin_assignment is not None:
-            for row in self.partition.sensitive.rows:
-                location = self.layout.locate_sensitive(row[self.attribute])
-                if location is not None:
-                    bin_assignment[row.rid] = location[0]
+        # The bin assignment groups the cloud's store by sensitive bin and
+        # places rows on the shard router's members.
+        bin_assignment: Dict[int, int] = {}
+        for row in self.partition.sensitive.rows:
+            location = self.layout.locate_sensitive(row[self.attribute])
+            if location is not None:
+                bin_assignment[row.rid] = location[0]
         if self.add_fake_tuples:
             fakes, fake_bins = self._make_fake_rows(self.layout)
             self.fake_rows_outsourced = len(fakes)
-            if bin_assignment is not None:
-                for fake, bin_index in zip(fakes, fake_bins):
-                    bin_assignment[fake.rid] = bin_index
+            for fake, bin_index in zip(fakes, fake_bins):
+                bin_assignment[fake.rid] = bin_index
             encrypted = encrypted + fakes
 
         self.cloud.store_non_sensitive(self.partition.non_sensitive)
-        self.cloud.store_sensitive(
-            encrypted,
-            self.scheme,
-            bin_assignment=bin_assignment if self._wants_bin_store() else None,
-        )
+        self.cloud.store_sensitive(encrypted, self.scheme, bin_assignment)
         self.cloud.build_index(self.attribute)
         if self.multi_cloud is not None:
-            assert bin_assignment is not None
             self.shard_router = ShardRouter(
                 self.layout.num_sensitive_bins,
                 self.layout.num_non_sensitive_bins,
@@ -760,7 +740,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self._require_setup()
         sensitive_rows: List[Row] = []
         bin_assignment: Dict[int, int] = {}
-        needs_bin = self._wants_bin_store() or self.multi_cloud is not None
         assert self.metadata is not None
         for values, sensitive in rows:
             rid = next(self._insert_rid_counter)
@@ -770,7 +749,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
                     values, sensitive=True, rid=rid, validate=False
                 )
                 sensitive_rows.append(row)
-                if needs_bin and self.layout is not None:
+                if self.layout is not None:
                     location = self.layout.locate_sensitive(value)
                     if location is not None:
                         bin_assignment[rid] = location[0]
@@ -786,10 +765,7 @@ class QueryBinningEngine(_PartitionedEngineBase):
             counts[value] = counts.get(value, 0) + 1
         if sensitive_rows:
             encrypted = self.scheme.encrypt_rows(sensitive_rows, self.attribute)
-            self.cloud.append_sensitive(
-                encrypted,
-                bin_assignment=bin_assignment if self._wants_bin_store() else {},
-            )
+            self.cloud.append_sensitive(encrypted, bin_assignment)
             if self.multi_cloud is not None and self.shard_router is not None:
                 self.multi_cloud.append_sensitive_sharded(
                     encrypted, bin_assignment, self.shard_router

@@ -49,10 +49,6 @@ class ArxIndexScheme(EncryptedSearchScheme):
 
     name = "arx-index"
 
-    #: The whole point of Arx: ``(value, occurrence)`` tags are stable, so
-    #: the cloud maintains a regular exact-match index over them.
-    supports_tag_index = True
-
     #: Relative search-cost factor vs cleartext (the paper measures β ≈ 1.4-2.5
     #: for Arx because the cloud uses a regular index).
     beta_estimate = 2.0
@@ -150,18 +146,6 @@ class ArxIndexScheme(EncryptedSearchScheme):
         matches: List[EncryptedRow] = []
         for token in tokens:
             matches.extend(index.get(token.payload, ()))
-        return matches
-
-    def indexed_search(self, index, tokens: Sequence[SearchToken]) -> List[EncryptedRow]:
-        """Per-token probes (Arx returns one row per token, in token order).
-
-        Uses the index's batch probe; token order and multiplicity — and the
-        per-key work counters — are identical to the per-token loop.
-        """
-        matches: List[EncryptedRow] = []
-        extend = matches.extend
-        for bucket in index.probe_many([token.payload for token in tokens]):
-            extend(row for _position, row in bucket)
         return matches
 
     # -- metadata accessors -----------------------------------------------------

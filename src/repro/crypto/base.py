@@ -17,17 +17,9 @@ attacks it is susceptible to on its own; the security benchmarks use this to
 demonstrate that QB removes the size / frequency / workload-skew signals even
 when the underlying scheme leaks them.
 
-Schemes whose rows carry a *stable* per-row search key additionally opt into
-cloud-side indexing by setting :attr:`EncryptedSearchScheme.supports_tag_index`
-and (when the key is not simply ``search_tag`` / ``token.payload``) overriding
-the :meth:`~EncryptedSearchScheme.index_key` /
-:meth:`~EncryptedSearchScheme.token_index_key` hooks.  The cloud then serves
-their queries from an :class:`~repro.cloud.indexes.EncryptedTagIndex` instead
-of scanning the whole encrypted relation; schemes that must examine rows to
-match (trial decryption, PRF testing) keep ``supports_tag_index = False`` and
-are served from the cloud's bin-addressed store when Query Binning supplies a
-bin assignment.  Indexing changes nothing in the adversarial view: the index
-is built from exactly the (tag, rid) pairs the adversary already stores.
+Schemes know nothing about how the cloud stores their rows: the cloud hands
+``search`` whichever rows a request may match — one sensitive bin's slice
+when the request names its bin, every stored row otherwise.
 """
 
 from __future__ import annotations
@@ -35,14 +27,11 @@ from __future__ import annotations
 import abc
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import SecretKey, decrypt_many
 from repro.data.relation import Row
 from repro.exceptions import CryptoError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (indexes imports base)
-    from repro.cloud.indexes import EncryptedTagIndex
 
 
 @dataclass(frozen=True)
@@ -135,29 +124,21 @@ class EncryptedSearchScheme(abc.ABC):
     #: human-readable scheme name, set by subclasses
     name: str = "abstract"
 
-    #: True when every stored row carries a stable key (:meth:`index_key`)
-    #: that search tokens can be mapped onto (:meth:`token_index_key`), so the
-    #: cloud may answer ``search`` with exact-match index probes instead of a
-    #: scan.  Schemes that must *examine* rows to match (trial decryption, PRF
-    #: testing) leave this False and rely on the bin-addressed store.
-    supports_tag_index: bool = False
-
-    #: True when the cloud-side matching path (``search`` /
-    #: ``indexed_search``) touches no shared mutable state, so several cloud
-    #: servers holding the *same* scheme object may search concurrently
-    #: (sharded multi-cloud execution).  Schemes that mutate work counters
-    #: inside ``search`` (e.g. Paillier's ``homomorphic_ops``) must set this
-    #: False; the fleet then serialises member searches instead of losing
-    #: increments to the non-atomic ``+=``.
+    #: True when the cloud-side matching path (``search``) touches no shared
+    #: mutable state, so several cloud servers holding the *same* scheme
+    #: object may search concurrently (sharded multi-cloud execution).
+    #: Schemes that mutate work counters inside ``search`` (e.g. Paillier's
+    #: ``homomorphic_ops``) must set this False; the fleet then serialises
+    #: member searches instead of losing increments to the non-atomic ``+=``.
     concurrent_search_safe: bool = True
 
     # -- batch execution contract -------------------------------------------
     #
     # Every operation takes whole batches (``encrypt_rows``, ``search``,
-    # :meth:`decrypt_rows_many`, :meth:`index_keys`), so the built-in
-    # schemes amortise per-call crypto setup (HMAC key schedules, AES-GCM
-    # cipher objects, sub-key derivations) over the batch.  The tests pin
-    # their outputs against the primitives and the plaintext oracle.
+    # :meth:`decrypt_rows_many`), so the built-in schemes amortise per-call
+    # crypto setup (HMAC key schedules, AES-GCM cipher objects, sub-key
+    # derivations) over the batch.  The tests pin their outputs against the
+    # primitives and the plaintext oracle.
 
     #: How many times the base-class scalar :meth:`decrypt_rows_many` loop
     #: ran (class-level zero; ``+=`` creates the instance counter on first
@@ -192,52 +173,11 @@ class EncryptedSearchScheme(abc.ABC):
     def decrypt_row(self, encrypted: EncryptedRow) -> Row:
         """Owner-side decryption of a returned ciphertext."""
 
-    # -- cloud-side indexing hooks ------------------------------------------
-    def index_key(self, row: EncryptedRow) -> Optional[bytes]:
-        """The stable key the cloud indexes ``row`` under, or ``None``.
-
-        Only consulted when :attr:`supports_tag_index` is True.  The default
-        uses the row's search tag, which is correct for every scheme whose
-        tag is a deterministic function of the (attribute, value) pair.
-        """
-        return row.search_tag or None
-
-    def token_index_key(self, token: SearchToken) -> Optional[bytes]:
-        """The index key a search token probes for, or ``None``."""
-        return token.payload
-
-    def index_keys(self, rows: Sequence[EncryptedRow]) -> List[Optional[bytes]]:
-        """Batch :meth:`index_key` (tag-index ingest builds from this).
-
-        The default simply loops; schemes whose key derivation does real
-        crypto work may override with a vectorized pass.  Must stay
-        element-wise identical to the scalar hook.
-        """
-        index_key = self.index_key
-        return [index_key(row) for row in rows]
-
     def indexed_search(
-        self, index: "EncryptedTagIndex", tokens: Sequence[SearchToken]
+        self, stored: Sequence[EncryptedRow], tokens: Sequence[SearchToken]
     ) -> List[EncryptedRow]:
-        """Answer ``search`` from a cloud-side tag index.
-
-        The default mirrors the membership-test scans used by most schemes:
-        each stored row is returned at most once, in storage order, if any
-        token probes its key.  Schemes whose linear ``search`` has different
-        multiplicity/order semantics (e.g. Arx's per-token probing) override
-        this so the indexed and linear paths stay bit-identical.
-
-        Probes go through the index's batch entry point (``probe_many``),
-        which charges the same per-key ``probe_count`` / ``rows_examined``
-        increments as a per-key loop would.
-        """
-        token_index_key = self.token_index_key
-        keys = [key for key in map(token_index_key, tokens) if key is not None]
-        matched: Dict[int, EncryptedRow] = {}
-        update = matched.update  # bulk-insert each bucket (positions are unique)
-        for bucket in index.probe_many(keys):
-            update(bucket)
-        return [row for _position, row in sorted(matched.items())]
+        """Alias of :meth:`search`, kept for callers that resolve it by name."""
+        return self.search(stored, tokens)
 
     # -- conveniences shared by all schemes ---------------------------------
     def decrypt_rows(self, encrypted: Iterable[EncryptedRow]) -> List[Row]:

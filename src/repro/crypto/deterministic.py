@@ -40,12 +40,6 @@ class DeterministicScheme(EncryptedSearchScheme):
 
     name = "deterministic"
 
-    #: Tags are a deterministic function of (attribute, value), so the cloud
-    #: can serve searches from an exact-match tag index; the base-class
-    #: ``index_key`` / ``token_index_key`` defaults (search tag / token
-    #: payload) are exactly right.
-    supports_tag_index = True
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")

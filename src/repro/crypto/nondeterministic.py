@@ -57,11 +57,6 @@ class NonDeterministicScheme(EncryptedSearchScheme):
 
     name = "non-deterministic"
 
-    #: Search resolves tokens to tuple addresses, so the cloud can keep an
-    #: address → row index instead of scanning (the index reveals nothing
-    #: beyond the rids the adversary already observes as the access pattern).
-    supports_tag_index = True
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")
@@ -128,13 +123,6 @@ class NonDeterministicScheme(EncryptedSearchScheme):
         return self._decrypt_row_payloads(self._row_key, encrypted)
 
     # -- cloud side -------------------------------------------------------------
-    def index_key(self, row: EncryptedRow) -> bytes:
-        """Index rows by tuple address (the ``hint`` tokens carry)."""
-        return encode_value(row.rid)
-
-    def token_index_key(self, token: SearchToken) -> bytes | None:
-        return encode_value(token.hint) if token.hint is not None else None
-
     def search(
         self, stored: Sequence[EncryptedRow], tokens: Sequence[SearchToken]
     ) -> List[EncryptedRow]:

@@ -43,11 +43,6 @@ class SSEScheme(EncryptedSearchScheme):
 
     name = "sse"
 
-    #: Tags embed a per-row nonce, so the cloud cannot index them: matching
-    #: requires recomputing the PRF per (row, token) pair.  Under QB the
-    #: cloud's bin-addressed store confines that trial-testing to one bin.
-    supports_tag_index = False
-
     def __init__(self, key: SecretKey | None = None):
         self._key = key or SecretKey.generate()
         self._row_key = self._key.derive("row")

@@ -126,8 +126,8 @@ class GroupByAggregator:
         """Fetch every row of one bin pair through the engine's cloud.
 
         Routing through the engine's per-bin token cache and passing the bin
-        indexes lets the cloud serve the request from its encrypted index or
-        bin-addressed store instead of scanning the whole relation.
+        indexes lets the cloud search the sensitive bin's slice instead of
+        scanning the whole relation.
         """
         engine = self.engine
         tokens = engine.tokens_for_decision(decision)

@@ -145,7 +145,6 @@ class DBOwner:
         multi_cloud = (
             MultiCloud(
                 self._num_clouds,
-                use_indexes=attribute_cloud.use_indexes,
                 use_encrypted_indexes=attribute_cloud.use_encrypted_indexes,
                 storage_backend=self._storage_backend,
                 storage_dir=self._storage_dir,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.indexes import HashIndex, SortedIndex
+from repro.cloud.indexes import HashIndex
 from repro.cloud.multi_cloud import MultiCloud, ShardRouter
 from repro.cloud.network import NetworkModel
 from repro.cloud.server import BatchRequest, CloudServer
@@ -70,44 +70,6 @@ class TestHashIndex:
     def test_unknown_attribute_rejected(self):
         with pytest.raises(UnknownAttributeError):
             HashIndex(keyed_relation(), "nope")
-
-
-class TestSortedIndex:
-    def _numeric_relation(self):
-        schema = Schema([Attribute("n", dtype=int)])
-        relation = Relation("nums", schema)
-        for value in [5, 3, 9, 3, 7, 1]:
-            relation.insert({"n": value})
-        return relation
-
-    def test_equality_lookup(self):
-        index = SortedIndex(self._numeric_relation(), "n")
-        assert len(index.lookup(3)) == 2
-        assert index.lookup(100) == []
-
-    def test_range_lookup(self):
-        index = SortedIndex(self._numeric_relation(), "n")
-        values = sorted(r["n"] for r in index.range(3, 7))
-        assert values == [3, 3, 5, 7]
-
-    def test_range_exclusive_bounds(self):
-        index = SortedIndex(self._numeric_relation(), "n")
-        values = sorted(r["n"] for r in index.range(3, 7, include_low=False, include_high=False))
-        assert values == [5]
-
-    def test_open_ended_range(self):
-        index = SortedIndex(self._numeric_relation(), "n")
-        assert sorted(r["n"] for r in index.range(low=7)) == [7, 9]
-        assert sorted(r["n"] for r in index.range(high=3)) == [1, 3, 3]
-
-    def test_min_max_and_add(self):
-        index = SortedIndex(self._numeric_relation(), "n")
-        assert index.min_key() == 1 and index.max_key() == 9
-        relation = self._numeric_relation()
-        index2 = SortedIndex(relation, "n")
-        row = relation.insert({"n": 100})
-        index2.add_row(row)
-        assert index2.max_key() == 100
 
 
 class TestNetworkModel:
@@ -202,12 +164,17 @@ class TestCloudServer:
         server.reset_observations()
         assert len(server.view_log) == 0 and server.stats.queries_served == 0
 
-    def test_without_indexes_falls_back_to_scan(self):
+    def test_first_request_builds_the_missing_index(self):
         relation = keyed_relation()
-        server = CloudServer(use_indexes=False)
-        server.store_non_sensitive(relation)
-        response = server.process_request("key", ["k2"], [])
-        assert len(response.non_sensitive_rows) == 3
+        server = CloudServer()
+        server.store_non_sensitive(relation)  # no build_index("key")
+        response = server.process_request("key", ["k2", "k3"], [])
+        assert len(response.non_sensitive_rows) == 6
+        index = server._indexes["key"]
+        assert index.probe_count == 2
+        assert server.stats.non_sensitive_probes == 2
+        server.process_request("key", ["k1"], [])
+        assert server._indexes["key"] is index  # built once, then reused
 
 
 class TestMultiCloud:

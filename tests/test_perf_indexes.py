@@ -1,9 +1,10 @@
-"""Parity and invariance tests for the encrypted search index subsystem.
+"""Parity and invariance tests for the cloud's sensitive read paths.
 
-The cloud may answer the sensitive half of a query three ways (tag index,
-bin-addressed store, linear scan — see :mod:`repro.cloud.server`); these tests
-pin the contract that all paths are observationally identical: same rows, same
-order, same adversarial views, same statistics.  Batching
+The cloud answers the sensitive half of a query from the requested bin's
+slice or, for the reference path, from a linear scan of every stored row
+(see :mod:`repro.cloud.server`); these tests pin the contract that both are
+observationally identical: same rows, same order, same adversarial views.
+Only the rows examined differ.  Batching
 (:meth:`CloudServer.process_batch` / ``execute_workload(placement="batched")``) gets
 the same treatment: it may deduplicate *work* but never merge or alter what
 each query contributes to the view log and the counters.
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from repro.cloud.server import BatchRequest, CloudServer
+from repro.cloud.storage import STORAGE_BACKENDS
 from repro.core.engine import QueryBinningEngine
 from repro.crypto.arx_index import ArxIndexScheme
 from repro.crypto.deterministic import DeterministicScheme
@@ -40,12 +42,17 @@ DATASET_KWARGS = dict(
 )
 
 
-def build_engine(dataset, scheme_factory, use_encrypted_indexes, seed=17):
+def build_engine(
+    dataset, scheme_factory, use_encrypted_indexes, seed=17, storage_backend="memory"
+):
     engine = QueryBinningEngine(
         partition=dataset.partition,
         attribute=dataset.attribute,
         scheme=scheme_factory(SecretKey.from_passphrase("parity-key")),
-        cloud=CloudServer(use_encrypted_indexes=use_encrypted_indexes),
+        cloud=CloudServer(
+            use_encrypted_indexes=use_encrypted_indexes,
+            storage_backend=storage_backend,
+        ),
         rng=random.Random(seed),
     )
     return engine.setup()
@@ -95,14 +102,14 @@ class TestIndexedLinearParity:
             < linear.cloud.stats.sensitive_rows_scanned
         )
 
-    def test_tag_index_built_for_capable_schemes(self, dataset):
+    def test_every_scheme_store_grouped_by_bin(self, dataset):
         for name, factory in SCHEMES.items():
             engine = build_engine(dataset, factory, True)
-            if factory.supports_tag_index:
-                assert engine.cloud._tag_index is not None, name
-            else:
-                assert engine.cloud._tag_index is None, name
-                assert engine.cloud._bin_store is not None, name
+            store = engine.cloud._bin_store
+            assert store, name
+            assert sum(len(rows) for rows in store.values()) == (
+                engine.cloud.encrypted_row_count
+            ), name
 
     def test_bin_store_scan_bounded_by_bin_size(self, dataset):
         """SSE (no stable tags) scans one bin's slice, never the relation."""
@@ -128,6 +135,66 @@ class TestIndexedLinearParity:
             ).sensitive_bin_index,
         )
         assert last.sensitive_scanned <= largest_bin
+
+
+class TestOneReadPath:
+    """A request that names its sensitive bin reads the bin's slice; one
+    that names no bin scans every stored row.  There is no third path."""
+
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_cold_binned_retrieval_selects_each_slice_once(self, dataset, scheme_name):
+        engine = build_engine(dataset, SCHEMES[scheme_name], True, storage_backend="sqlite")
+        try:
+            requests, _slots = engine.build_requests(dataset.all_values)
+            halves = {
+                (request.sensitive_bin_index, request.tokens)
+                for request in requests
+                if request.tokens
+            }
+            # bins carry more tokens than the bound allows statements
+            assert max(len(tokens) for _bin, tokens in halves) > 2
+            selects = []
+
+            def count(statement):
+                if statement.lstrip().upper().startswith("SELECT"):
+                    selects.append(statement)
+
+            connection = engine.cloud.storage._connection
+            connection.set_trace_callback(count)
+            try:
+                engine.execute_workload(dataset.all_values, placement="batched")
+            finally:
+                connection.set_trace_callback(None)
+            # the slice and the unassigned overflow: two reads per half
+            assert 0 < len(selects) <= 2 * len(halves)
+        finally:
+            engine.cloud.close()
+
+    @pytest.mark.parametrize("storage_backend", STORAGE_BACKENDS)
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_unbinned_request_scans_every_row(
+        self, dataset, scheme_name, storage_backend
+    ):
+        engine = build_engine(
+            dataset, SCHEMES[scheme_name], True, storage_backend=storage_backend
+        )
+        cloud, scheme, attribute = engine.cloud, engine.scheme, engine.attribute
+        try:
+            stored = cloud.encrypted_row_count
+            for value in dataset.partition.sensitive.value_counts(attribute):
+                tokens = scheme.tokens_for_values([value], attribute)
+                scanned_before = cloud.stats.sensitive_rows_scanned
+                response = cloud.process_request(attribute, [], tokens)
+                assert cloud.stats.sensitive_rows_scanned - scanned_before == stored
+                oracle = sorted(
+                    row.rid
+                    for row in dataset.partition.sensitive.rows
+                    if row[attribute] == value
+                )
+                rows = scheme.decrypt_rows(response.encrypted_rows)
+                assert sorted(row.rid for row in rows) == oracle, value
+        finally:
+            cloud.close()
 
 
 class TestBatchingInvariance:
@@ -158,17 +225,6 @@ class TestBatchingInvariance:
 
         # CloudStatistics must be unchanged by batching, field for field.
         assert sequential.cloud.stats == batched.cloud.stats
-
-        # The tag index's own work counters must not diverge either.
-        if sequential.cloud._tag_index is not None:
-            assert (
-                sequential.cloud._tag_index.probe_count
-                == batched.cloud._tag_index.probe_count
-            )
-            assert (
-                sequential.cloud._tag_index.rows_examined
-                == batched.cloud._tag_index.rows_examined
-            )
 
         # Each query keeps its own adversarial view: same count, same content.
         assert len(sequential.cloud.view_log) == len(batched.cloud.view_log)

@@ -12,6 +12,8 @@ numbers (≥5x queries/sec at 100k rows) are recorded in the committed
         benchmarks/bench_perf_query_throughput.py
 """
 
+import json
+
 import pytest
 
 from benchmarks.bench_perf_query_throughput import print_results, run_throughput_suite
@@ -23,8 +25,8 @@ def test_perf_smoke_indexed_query_throughput():
         sizes=(10_000,),
         query_budget={
             "linear-scan": 20,
-            "tag-index": 150,
-            "tag-index+batch": 150,
+            "bin-slice": 150,
+            "bin-slice+batch": 150,
             "sse-linear-scan": 3,
             "sse-bin-store": 20,
         },
@@ -39,14 +41,32 @@ def test_perf_smoke_indexed_query_throughput():
         assert config["elapsed_seconds"] > 0, name
 
     # The rows-scanned contraction is deterministic: linear scans examine the
-    # whole encrypted relation per query, the indexed paths one bin's worth.
+    # whole encrypted relation per query, the bin-slice paths one bin's worth.
     linear_rows = measured["linear-scan"]["rows_scanned_per_query"]
     stored = measured["linear-scan"]["encrypted_rows_stored"]
     assert linear_rows == stored
     assert measured["sse-linear-scan"]["rows_scanned_per_query"] == stored
-    assert measured["tag-index"]["rows_scanned_per_query"] < linear_rows / 5
-    assert measured["tag-index+batch"]["rows_scanned_per_query"] < linear_rows / 5
+    assert measured["bin-slice"]["rows_scanned_per_query"] < linear_rows / 5
+    assert measured["bin-slice+batch"]["rows_scanned_per_query"] < linear_rows / 5
     assert measured["sse-bin-store"]["rows_scanned_per_query"] < linear_rows / 5
+
+
+def test_throughput_suite_keeps_other_trajectory_sections(tmp_path):
+    """A run replaces only its own top-level keys in the trajectory file."""
+    out_path = tmp_path / "BENCH_throughput.json"
+    other = {"rows": 20_000, "qps": 1.5}
+    out_path.write_text(json.dumps({"storage_scaling": other, "configs": ["old"]}))
+    results = run_throughput_suite(
+        sizes=(200,),
+        configs=("bin-slice",),
+        query_budget={"linear-scan": 2, "bin-slice": 2},
+        out_path=out_path,
+    )
+    trajectory = json.loads(out_path.read_text())
+    assert trajectory["storage_scaling"] == other
+    assert set(trajectory) == {"storage_scaling"} | set(results)
+    assert trajectory["configs"] == ["linear-scan", "bin-slice"]
+    assert trajectory["sizes"] == results["sizes"]
 
 
 @pytest.mark.perf

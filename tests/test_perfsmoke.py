@@ -4,12 +4,13 @@ The full-scale throughput benchmarks (``benchmarks/bench_perf_*.py``) are
 minutes of wall clock and excluded from the default run, which historically
 meant perf-path regressions only surfaced when someone re-ran them.  These
 tests are the fast tripwire: every execution config — sequential, batched,
-sharded×{thread,process} members, tag-index and bin-store search paths — runs
-over a small relation in the default pytest run, and the *deterministic*
-signatures of the optimisations (interned retrievals skipping scheme compute,
-interned requests, shared view templates) are asserted via counters rather
-than wall clock, so they cannot flake on slow CI yet fail immediately if the
-hot path regresses to per-query recomputation.
+sharded×{thread,process} members, tag-matching and trial-decryption schemes
+over the bin slice — runs over a small relation in the default pytest run,
+and the *deterministic* signatures of the optimisations (interned retrievals
+skipping scheme compute, interned requests, shared view templates) are
+asserted via counters rather than wall clock, so they cannot flake on slow
+CI yet fail immediately if the hot path regresses to per-query
+recomputation.
 
 Select just these with ``pytest -m perfsmoke``.
 """
@@ -109,7 +110,9 @@ def _workload(dataset, repeats: int = 2, seed: int = 37) -> List[object]:
 )
 @pytest.mark.parametrize("scheme_name", ["tag-index", "sse-bin-store"])
 def test_every_config_serves_the_workload(config_name, backend, scheme_name):
-    """All configs × both encrypted-search paths answer a repeated workload
+    """All configs × both kinds of encrypted search (the ``tag-index`` id is
+    the deterministic scheme's tag matching, the ``sse-bin-store`` id SSE's
+    trial decryption, both over the bin slice) answer a repeated workload
     with bit-identical results (vs. ground truth), seconds-fast."""
     dataset = _dataset()
     scheme = (

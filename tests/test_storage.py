@@ -71,26 +71,13 @@ def assert_backend_parity(memory, sqlite, bins) -> None:
     assert list(memory.all_rows()) == list(sqlite.all_rows())
     assert memory.bin_counts() == sqlite.bin_counts()
     assert memory.bin_assignment_view() == sqlite.bin_assignment_view()
-    assert memory.has_bin_store == sqlite.has_bin_store
-    if memory.has_bin_store:
-        assert memory.bin_store_view() == sqlite.bin_store_view()
-        for bin_index in bins:
-            assert list(memory.bin_candidates(bin_index)) == list(
-                sqlite.bin_candidates(bin_index)
-            )
+    assert memory.bin_store_view() == sqlite.bin_store_view()
+    for bin_index in bins:
+        assert list(memory.bin_candidates(bin_index)) == list(
+            sqlite.bin_candidates(bin_index)
+        )
     for probe in (list(bins), [None], list(bins) + [None], []):
         assert memory.slice_bins(probe) == sqlite.slice_bins(probe)
-    if memory.tag_index is not None:
-        assert sqlite.tag_index is not None
-        assert len(memory.tag_index) == len(sqlite.tag_index)
-        assert memory.tag_index.distinct_count() == sqlite.tag_index.distinct_count()
-        for key in {row.search_tag for row in memory.all_rows()}:
-            # positions diverge after a drop (sqlite keeps sparse positions,
-            # memory compacts) but the rows and their relative order — all a
-            # scheme's indexed_search observes — must match exactly.
-            assert [row for _pos, row in memory.tag_index.probe(key)] == [
-                row for _pos, row in sqlite.tag_index.probe(key)
-            ]
 
 
 @pytest.fixture
@@ -101,37 +88,37 @@ def backend_pair():
 
 
 class TestBackendUnitParity:
-    def assignment_for(self, rows, num_bins: int = 3, hole_every: int = 4):
-        """rid → bin for most rows; every ``hole_every``-th stays unassigned."""
+    def assignment_for(self, rows, shape: str, num_bins: int = 3):
+        """rid → bin for every row (``full``), for all but every 4th row
+        (``holes``), or no assignment at all (``none``)."""
+        if shape == "none":
+            return None
         return {
             row.rid: row.rid % num_bins
             for row in rows
-            if row.rid % hole_every != 0
+            if shape == "full" or row.rid % 4 != 0
         }
 
-    @pytest.mark.parametrize("indexed", ["tag-index", "bin-store", "plain"])
-    def test_reset_append_slice_drop_script(self, backend_pair, indexed):
+    @pytest.mark.parametrize("shape", ["full", "holes", "none"])
+    def test_reset_append_slice_drop_script(self, backend_pair, shape):
         memory, sqlite = backend_pair
-        scheme = DeterministicScheme(SecretKey.from_passphrase("unit"))
         base = synthetic_rows(20)
-        assignment = self.assignment_for(base)
-        build_tag = indexed == "tag-index"
-        build_bins = indexed == "bin-store"
+        assignment = self.assignment_for(base, shape)
         for backend in (memory, sqlite):
-            backend.reset(
-                base,
-                scheme,
-                assignment,
-                build_tag_index=build_tag,
-                build_bin_store=build_bins,
-            )
+            backend.reset(base, assignment)
         assert_backend_parity(memory, sqlite, bins=range(4))
+        if assignment is None:
+            # a store outsourced without an assignment keeps every row in
+            # the overflow, so any bin retrieval scans the whole relation
+            assert list(memory.bin_candidates(0)) == base
 
-        # append a second batch; one row's assignment arrives only now, and
-        # one appended row stays unassigned (the overflow every bin scans)
+        # append a second batch; with holes, one row's assignment arrives
+        # only now, and one appended row stays unassigned (the overflow
+        # every bin scans)
         extra = synthetic_rows(8, start_rid=100)
-        late = dict(self.assignment_for(extra))
-        late[0] = 2  # base rid 0 was unassigned; its bin arrives late
+        late = self.assignment_for(extra, shape)
+        if shape == "holes":
+            late[0] = 2  # base rid 0 was unassigned; its bin arrives late
         for backend in (memory, sqlite):
             backend.append(extra, late)
         assert_backend_parity(memory, sqlite, bins=range(4))
@@ -152,12 +139,9 @@ class TestBackendUnitParity:
         into its bin, and the SQLite backend must do the same.
         """
         memory, sqlite = backend_pair
-        scheme = DeterministicScheme(SecretKey.from_passphrase("unit"))
         rows = synthetic_rows(6)
         for backend in (memory, sqlite):
-            backend.reset(
-                rows, scheme, None, build_tag_index=False, build_bin_store=True
-            )
+            backend.reset(rows, None)
             # assignments arrive only with a later (empty) append
             backend.append([], {row.rid: 0 for row in rows[:3]})
         # before the drop both backends scan all six rows for any bin...
@@ -178,33 +162,11 @@ class TestBackendUnitParity:
             # ...so a scan of any *other* bin now only sees the 3 unassigned
             assert len(backend.bin_candidates(1)) == 3
 
-    def test_tag_counters_live_in_python(self, backend_pair):
-        """Probe counters are plain attributes on both index flavours."""
-        memory, sqlite = backend_pair
-        scheme = DeterministicScheme(SecretKey.from_passphrase("unit"))
-        rows = synthetic_rows(10)
-        for backend in (memory, sqlite):
-            backend.reset(
-                rows, scheme, None, build_tag_index=True, build_bin_store=False
-            )
-        for index in (memory.tag_index, sqlite.tag_index):
-            index.probe(rows[0].search_tag)
-            index.probe(b"no-such-tag")
-        assert memory.tag_index.probe_count == sqlite.tag_index.probe_count == 2
-        assert memory.tag_index.rows_examined == sqlite.tag_index.rows_examined
-        # restore is a plain attribute write — the observation-snapshot path
-        sqlite.tag_index.probe_count = 0
-        sqlite.tag_index.rows_examined = 0
-        assert sqlite.tag_index.probe_count == 0
-
     def test_sqlite_transaction_rolls_back_atomically(self, backend_pair):
         memory, sqlite = backend_pair
-        scheme = DeterministicScheme(SecretKey.from_passphrase("unit"))
         rows = synthetic_rows(5)
         for backend in (memory, sqlite):
-            backend.reset(
-                rows, scheme, None, build_tag_index=True, build_bin_store=False
-            )
+            backend.reset(rows, None)
         before = list(sqlite.all_rows())
         with pytest.raises(RuntimeError):
             with sqlite.transaction():
@@ -214,7 +176,6 @@ class TestBackendUnitParity:
         assert sqlite.all_rows() == before
         assert sqlite.row_count() == 5
         assert sqlite.bin_assignment_view() == {}
-        assert len(sqlite.tag_index) == len(memory.tag_index)
         # the next append lands at the positions the rollback released
         for backend in (memory, sqlite):
             backend.append(synthetic_rows(2, start_rid=300), None)
@@ -530,8 +491,9 @@ class TestCrossBackendExecutionParity:
 @pytest.mark.multicloud
 @pytest.mark.parametrize(
     "scheme_name",
-    # one tag-index scheme and the bin-store scheme cover both serve paths;
-    # the remaining schemes ride the (cheaper) thread-backend matrix above
+    # one tag-matching scheme and the trial-decryption scheme cover both
+    # kinds of search; the remaining schemes ride the (cheaper)
+    # thread-backend matrix above
     ["deterministic", "sse"],
 )
 def test_process_fleet_backend_parity(scheme_name, parity_harness):
@@ -625,13 +587,10 @@ class TestSQLiteThreadedAccess:
     def test_threaded_hammer_reads_stay_consistent(self):
         import threading
 
-        scheme = DeterministicScheme(SecretKey.from_passphrase("hammer"))
         backend = SQLiteBackend()
         base = synthetic_rows(30)
         assignment = {row.rid: row.rid % 3 for row in base}
-        backend.reset(
-            base, scheme, assignment, build_tag_index=True, build_bin_store=False
-        )
+        backend.reset(base, assignment)
         errors = []
         stop = threading.Event()
         appends, batch = 10, 5
@@ -679,9 +638,7 @@ class TestSQLiteThreadedAccess:
         assert backend.row_count() == len(base) + appends * batch
         # end state matches the same script run sequentially
         reference = SQLiteBackend()
-        reference.reset(
-            base, scheme, assignment, build_tag_index=True, build_bin_store=False
-        )
+        reference.reset(base, assignment)
         for index in range(appends):
             fresh = synthetic_rows(batch, start_rid=1000 + index * batch)
             reference.append(fresh, {row.rid: row.rid % 3 for row in fresh})
@@ -693,12 +650,8 @@ class TestSQLiteThreadedAccess:
     def test_concurrent_transactions_serialize(self):
         import threading
 
-        scheme = DeterministicScheme(SecretKey.from_passphrase("txn"))
         backend = SQLiteBackend()
-        backend.reset(
-            synthetic_rows(6), scheme, None,
-            build_tag_index=False, build_bin_store=False,
-        )
+        backend.reset(synthetic_rows(6), None)
         errors = []
 
         def drop_and_refill(start_rid):

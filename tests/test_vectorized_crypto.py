@@ -20,7 +20,6 @@ import threading
 import pytest
 
 from repro.cloud import process_member
-from repro.cloud.indexes import EncryptedTagIndex
 from repro.cloud.process_member import (
     FrameChannel,
     ProcessMemberProxy,
@@ -273,25 +272,6 @@ class TestSSESearchEdgeCases:
         )
         with pytest.raises(CryptoError):
             scheme.search(bad, scheme.tokens_for_values(["a"], "key"))
-
-
-class TestTagIndexBatchProbe:
-    def test_probe_many_matches_per_key_probes_and_counters(self):
-        scheme = DeterministicScheme(SecretKey.from_passphrase("idx"))
-        rows = sample_rows()
-        stored = scheme.encrypt_rows(rows, "key")
-
-        loop_index = EncryptedTagIndex(scheme)
-        loop_index.add_rows(stored, start_position=0)
-        batch_index = EncryptedTagIndex(scheme)
-        batch_index.add_rows(stored, start_position=0)
-
-        keys = [stored[0].search_tag, b"missing", stored[1].search_tag]
-        loop_buckets = [loop_index.probe(key) for key in keys]
-        batch_buckets = batch_index.probe_many(keys)
-        assert batch_buckets == loop_buckets
-        assert batch_index.probe_count == loop_index.probe_count
-        assert batch_index.rows_examined == loop_index.rows_examined
 
 
 # -- engine-level parity ------------------------------------------------------
