@@ -15,7 +15,6 @@ from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.data.partition import SensitivityPolicy, partition_relation
 from repro.data.relation import Relation
 from repro.data.schema import Attribute, Schema
-from repro.extensions.inserts import IncrementalInserter
 from repro.extensions.joins import BinnedJoinExecutor
 from repro.extensions.multi_attribute import MultiAttributeEngine
 from repro.extensions.range_queries import RangeQueryExecutor
@@ -86,14 +85,22 @@ def main() -> None:
     print(f"  sample joined row: {sample}")
 
     # 3. inserts ---------------------------------------------------------------------
-    inserter = IncrementalInserter(left, rebin_threshold=8)
-    inserter.insert({"dept": "finance", "grade": 4, "name": "new-cfo"}, sensitive=True)
-    inserter.insert({"dept": "design", "grade": 2, "name": "new-designer"}, sensitive=False)
+    # The partition's policy splits each row; the engine places a new value
+    # in a free slot of the bins, or rebins when none will do.
+    layout = left.layout
+    new_cfo = {"dept": "finance", "grade": 4, "name": "new-cfo"}
+    left.insert(employees.insert(new_cfo, sensitive=True))
+    left.insert(employees.insert({"dept": "design", "grade": 2, "name": "new-designer"}))
     print(
-        f"Inserts absorbed: {inserter.stats.total} "
-        f"(re-binnings triggered: {inserter.stats.rebins_triggered}); "
+        f"Inserts absorbed: 2 "
+        f"({'in place' if left.layout is layout else 'after a re-binning'}); "
         f"query for the new sensitive dept returns "
         f"{len(left.query('finance'))} row(s)"
+    )
+    left.rebin()
+    print(
+        f"  after an explicit re-binning: {len(left.query('finance'))} finance row(s), "
+        f"{len(left.query('design'))} design rows"
     )
 
     # 4. multi-attribute search ---------------------------------------------------

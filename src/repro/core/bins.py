@@ -51,14 +51,18 @@ class Bin:
             )
         self.slots[position] = value
 
-    def append(self, value: object) -> int:
-        """Put ``value`` in the first empty slot (or a new one); returns it."""
+    def free_slot(self) -> int:
+        """The first empty slot's position, or the next new one's."""
         for position, slot in enumerate(self.slots):
             if slot is None:
-                self.slots[position] = value
                 return position
-        self.slots.append(value)
-        return len(self.slots) - 1
+        return len(self.slots)
+
+    def append(self, value: object) -> int:
+        """Put ``value`` in the first empty slot (or a new one); returns it."""
+        position = self.free_slot()
+        self.place(position, value)
+        return position
 
     def __contains__(self, value: object) -> bool:
         return any(slot == value for slot in self.slots if slot is not None)
@@ -76,7 +80,8 @@ class BinLayout:
     The layout records, for the sensitive and the non-sensitive side, the list
     of bins and a value → (bin index, position) map, plus the number of fake
     tuples each sensitive bin needs (general case only; zero in the base
-    case).
+    case).  Set-up builds it whole; afterwards only :meth:`place` changes it,
+    one inserted value at a time.
     """
 
     def __init__(
@@ -92,9 +97,8 @@ class BinLayout:
         self.attribute = attribute
         self._sensitive_location: Dict[object, Tuple[int, int]] = {}
         self._non_sensitive_location: Dict[object, Tuple[int, int]] = {}
-        #: bumped on every (re)build of the location maps, so the engine's
-        #: owner memo can detect mutation by the incremental inserter
-        #: without holding references into the bins.
+        #: bumped whenever a value is located, so the engine's owner memo
+        #: can detect :meth:`place` without holding references into the bins.
         self.version = 0
         self._rebuild_locations()
 
@@ -171,6 +175,46 @@ class BinLayout:
         return (
             value in self._sensitive_location or value in self._non_sensitive_location
         )
+
+    # -- inserts ----------------------------------------------------------------------
+    def place(self, value: object, sensitive: bool) -> bool:
+        """Make sure this side holds ``value``: a value it lacks goes into a
+        slot Algorithm 2 can reach.  Returns ``False``, changing nothing,
+        when no such slot is free.
+
+        A value the other side holds at (bin ``b``, position ``p``) can only
+        take slot ``b`` of bin ``p`` here: the transpose, so both bins its
+        query retrieves hold it.  A value new to both sides takes the
+        least-filled bin with a free slot below the other side's bin count.
+        """
+        if value is None:
+            raise BinningError("None marks an empty slot and cannot be placed")
+        if sensitive:
+            bins, location = self.sensitive_bins, self._sensitive_location
+            other, reach = self._non_sensitive_location, self.num_non_sensitive_bins
+        else:
+            bins, location = self.non_sensitive_bins, self._non_sensitive_location
+            other, reach = self._sensitive_location, self.num_sensitive_bins
+        if value in location:
+            return True
+        if value in other:
+            other_bin, other_position = other[value]
+            if other_position >= len(bins):
+                return False
+            target, position = bins[other_position], other_bin
+            if position < len(target.slots) and target.slots[position] is not None:
+                return False
+        else:
+            free = [(b.size, b.index, b.free_slot()) for b in bins]
+            candidates = [entry for entry in free if entry[2] < reach]
+            if not candidates:
+                return False
+            _size, index, position = min(candidates)
+            target = bins[index]
+        target.place(position, value)
+        location[value] = (target.index, position)
+        self.version += 1
+        return True
 
     # -- invariants -------------------------------------------------------------------
     def validate(self) -> None:

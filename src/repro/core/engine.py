@@ -74,21 +74,13 @@ class _PartitionedEngineBase:
         #: query, workload, insert) at a time.  The owner memo is read and
         #: filled by queries and *cleared* by inserts; without this lock a
         #: mid-query insert from a second session can clear a memo the
-        #: query is iterating.  Code that changes the layout in place (the
-        #: incremental inserter) holds it too.  Re-entrant: the query
-        #: pipeline nests the locked rewrite helpers, and the
-        #: scheme/metadata objects are owned by exactly one engine.
+        #: query is iterating.  Inserts also place new values into the
+        #: layout under it.  Re-entrant: the query pipeline nests the
+        #: locked rewrite helpers, and the scheme/metadata objects are
+        #: owned by exactly one engine.
         self._lock = threading.RLock()
         self._outsourced = False
         self._fake_rid_counter = itertools.count(start=-1, step=-1)
-        # Fresh rids for inserted rows must not collide with rids in *either*
-        # partition (both descend from the same original relation).
-        highest_rid = max(
-            [row.rid for row in partition.sensitive]
-            + [row.rid for row in partition.non_sensitive]
-            + [-1]
-        )
-        self._insert_rid_counter = itertools.count(start=highest_rid + 1)
 
     # -- owner-side helpers ------------------------------------------------------
     def _encrypt_sensitive_rows(self) -> List[EncryptedRow]:
@@ -284,8 +276,8 @@ class QueryBinningEngine(_PartitionedEngineBase):
 
         Runs on ``setup()`` (a new layout), on sensitive inserts (the
         scheme's owner metadata and the bins' ciphertexts change), and when
-        :meth:`build_requests` finds the layout's location maps rebuilt in
-        place (the incremental inserter placed a new value).
+        :meth:`build_requests` finds ``layout.version`` changed (an insert
+        placed a new value in place).
         """
         self._decisions.clear()
         self._token_cache.clear()
@@ -705,63 +697,51 @@ class QueryBinningEngine(_PartitionedEngineBase):
             response_consumer=decrypt_early,
         )
 
-    # -- introspection ----------------------------------------------------------------
-    def insert(self, values: Dict[str, object], sensitive: bool) -> None:
-        """Insert one new row while keeping bins usable (see extensions.inserts).
-
-        The base engine supports inserts for values that already exist in the
-        layout; new values require re-binning, which
-        :mod:`repro.extensions.inserts` handles incrementally.
-        """
+    # -- inserts ------------------------------------------------------------------------
+    def insert(self, row: Row) -> None:
+        """Absorb one row already in this engine's partition (see
+        :meth:`insert_many`)."""
         with self._lock:
-            self._insert_many_locked([(values, sensitive)])
+            self._insert_many_locked([row])
 
-    def insert_many(
-        self, rows: Sequence[Tuple[Dict[str, object], bool]]
-    ) -> None:
-        """Insert many ``(values, sensitive)`` rows with batched crypto.
+    def insert_many(self, rows: Sequence[Row]) -> None:
+        """Absorb rows that :meth:`PartitionResult.insert` put into this
+        engine's partition.
 
-        Stores the same rows under the same rids, advances the same metadata
-        counts, and produces bit-identical ciphertexts/tags as calling
-        :meth:`insert` once per row (rids are assigned in order and the
-        scheme encrypts the sensitive rows in arrival order, so stateful
-        schemes — Arx occurrence counters, address books — evolve
-        identically).  The win is amortisation: one
-        :meth:`~repro.crypto.base.EncryptedSearchScheme.encrypt_rows` batch,
-        one ``append_sensitive`` shipment, and one owner-memo invalidation
-        for the whole batch instead of one of each per sensitive row.
+        :meth:`BinLayout.place` puts a value the layout lacks on its row's
+        side into a free slot; when no slot will do, the engine rebins,
+        which re-outsources the whole partition, these rows included.
+        Otherwise the sensitive rows are encrypted in one
+        :meth:`~repro.crypto.base.EncryptedSearchScheme.encrypt_rows` batch
+        and shipped in one ``append_sensitive`` call, and the owner memo is
+        invalidated once.  The scheme encrypts them in arrival order, so
+        stateful schemes (Arx occurrence counters, address books) end in the
+        state one :meth:`insert` per row would leave.
         """
         with self._lock:
             self._insert_many_locked(rows)
 
-    def _insert_many_locked(
-        self, rows: Sequence[Tuple[Dict[str, object], bool]]
-    ) -> None:
+    def _insert_many_locked(self, rows: Sequence[Row]) -> None:
         self._require_setup()
+        layout, metadata = self.layout, self.metadata
+        assert layout is not None and metadata is not None
+        for row in rows:
+            if not layout.place(row[self.attribute], row.sensitive):
+                self.rebin()
+                return
         sensitive_rows: List[Row] = []
         bin_assignment: Dict[int, int] = {}
-        assert self.metadata is not None
-        for values, sensitive in rows:
-            rid = next(self._insert_rid_counter)
-            value = values[self.attribute]
-            if sensitive:
-                row = self.partition.sensitive.insert(
-                    values, sensitive=True, rid=rid, validate=False
-                )
+        for row in rows:
+            value = row[self.attribute]
+            if row.sensitive:
                 sensitive_rows.append(row)
-                if self.layout is not None:
-                    location = self.layout.locate_sensitive(value)
-                    if location is not None:
-                        bin_assignment[rid] = location[0]
-                counts = self.metadata.sensitive_counts
+                bin_assignment[row.rid] = layout.locate_sensitive(value)[0]
+                counts = metadata.sensitive_counts
             else:
-                row = self.partition.non_sensitive.insert(
-                    values, sensitive=False, rid=rid, validate=False
-                )
                 self.cloud.register_non_sensitive_row(row)
                 if self.multi_cloud is not None:
                     self.multi_cloud.register_non_sensitive_row(row)
-                counts = self.metadata.non_sensitive_counts
+                counts = metadata.non_sensitive_counts
             counts[value] = counts.get(value, 0) + 1
         if sensitive_rows:
             encrypted = self.scheme.encrypt_rows(sensitive_rows, self.attribute)
@@ -773,6 +753,31 @@ class QueryBinningEngine(_PartitionedEngineBase):
             # Owner metadata changed once for the whole batch; invalidate
             # the owner memo once to match.
             self._invalidate()
+
+    def rebin(self) -> "QueryBinningEngine":
+        """Rebuild bins from the current partition and re-outsource it.
+
+        Observation logs are cleared on every store the engine re-outsources
+        to — the single reference server and, when attached, the whole
+        sharded fleet — so the fleet-vs-reference parity invariants hold
+        across a rebin exactly as they do from a fresh setup.
+
+        For a sharded engine a rebin is also a fleet redeployment: the
+        engine's ``setup()`` rebuilds the :class:`ShardRouter` as a pure
+        function of (new bin counts, policy, fleet size, replication
+        factor), so primary *and replica* placement of the rebuilt layout is
+        deterministic, and every member — replicas included — receives its
+        slices from scratch.  Members previously excluded as failed are
+        therefore marked recovered (a deployment that re-outsources to a
+        member has, by definition, replaced it); a member that is in fact
+        still down is re-detected by the next batch's failover machinery.
+        """
+        with self._lock:
+            self.cloud.reset_observations()
+            if self.multi_cloud is not None:
+                self.multi_cloud.reset_observations()
+                self.multi_cloud.mark_all_recovered()
+            return self.setup()
 
 
 class NaivePartitionedEngine(_PartitionedEngineBase):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from repro.data.relation import Relation, Row
 from repro.data.schema import Schema
@@ -180,6 +180,10 @@ class SensitivityPolicy:
 class PartitionResult:
     """Outcome of partitioning a relation under a :class:`SensitivityPolicy`.
 
+    Rows enter a partition only through :meth:`insert` (and
+    :func:`partition_relation`, which shares its per-row step), so every row
+    is classified and split by the one rule the policy states.
+
     Attributes
     ----------
     sensitive:
@@ -191,13 +195,27 @@ class PartitionResult:
         Optional vertical split of column-level sensitive attributes
         (``Employee1`` in the paper), always treated as sensitive.
     policy:
-        The policy that produced the partition, kept for provenance.
+        The policy that produced the partition and classifies its inserts.
     """
 
     sensitive: Relation
     non_sensitive: Relation
     vertical: Optional[Relation] = None
     policy: Optional[SensitivityPolicy] = None
+
+    def __post_init__(self) -> None:
+        #: one more than the highest rid either side holds
+        self._next_rid = 1 + max(
+            (row.rid for part in (self.sensitive, self.non_sensitive) for row in part),
+            default=-1,
+        )
+        #: the (key, column...) tuples ``vertical`` already holds
+        self._vertical_rows = set()
+        if self.vertical is not None:
+            names = self.vertical.schema.names
+            self._vertical_rows.update(
+                tuple(row[name] for name in names) for row in self.vertical
+            )
 
     @property
     def total_rows(self) -> int:
@@ -219,6 +237,40 @@ class PartitionResult:
         """Distinct non-sensitive values of ``attribute`` (QB input ``NS``)."""
         return self.non_sensitive.distinct_values(attribute)
 
+    def insert(self, values: Mapping[str, object], sensitive: bool = False) -> Row:
+        """Put one new row into the partition, exactly as
+        :func:`partition_relation` would have; returns the row as stored.
+
+        ``sensitive`` is the row's own flag, which the policy honours when
+        it uses row flags.  The row gets one fresh rid, unused on either
+        side, and column-level attributes go to :attr:`vertical`.
+        """
+        row = Row(rid=self._next_rid, values=dict(values), sensitive=sensitive)
+        return self._split(row)
+
+    def _split(self, row: Row) -> Row:
+        """The per-row step: classify ``row`` under the policy, move its
+        column-level attributes to :attr:`vertical`, and add the rest to
+        ``Rs`` or ``Rns`` under the row's rid."""
+        sensitive = (self.policy or SensitivityPolicy()).is_sensitive_row(row)
+        kept = {name: row[name] for name in self.sensitive.schema.names}
+        vertical = None
+        if self.vertical is not None:
+            vertical = tuple(row[name] for name in self.vertical.schema.names)
+        stored = Row(rid=row.rid, values=kept, sensitive=sensitive)
+        (self.sensitive if sensitive else self.non_sensitive)._add_row(
+            stored, validate=False
+        )
+        self._next_rid = max(self._next_rid, row.rid + 1)
+        if vertical is not None and vertical not in self._vertical_rows:
+            self._vertical_rows.add(vertical)
+            self.vertical.insert(
+                dict(zip(self.vertical.schema.names, vertical)),
+                sensitive=True,
+                validate=False,
+            )
+        return stored
+
 
 def partition_relation(
     relation: Relation,
@@ -233,38 +285,32 @@ def partition_relation(
     notation.  When the policy names column-level sensitive attributes, those
     columns are removed from both horizontal partitions and placed in a
     separate, always-sensitive vertical relation together with the policy's
-    ``key_attribute``.
+    ``key_attribute``.  Each row goes through the same per-row step as
+    :meth:`PartitionResult.insert`.
     """
     sensitive_name = sensitive_name or f"{relation.name}_sensitive"
     non_sensitive_name = non_sensitive_name or f"{relation.name}_non_sensitive"
-
-    vertical = _vertical_split(relation, policy)
 
     horizontal_schema = relation.schema
     drop = [a for a in policy.sensitive_attributes if a in relation.schema]
     if drop:
         horizontal_schema = relation.schema.drop(drop)
 
-    sensitive = Relation(sensitive_name, horizontal_schema)
-    non_sensitive = Relation(non_sensitive_name, horizontal_schema)
-    kept = horizontal_schema.names
-    for row in relation:
-        projected = row.project(kept)
-        if policy.is_sensitive_row(row):
-            sensitive._add_row(projected.with_sensitivity(True), validate=False)
-        else:
-            non_sensitive._add_row(projected.with_sensitivity(False), validate=False)
-
-    return PartitionResult(
-        sensitive=sensitive,
-        non_sensitive=non_sensitive,
-        vertical=vertical,
+    result = PartitionResult(
+        sensitive=Relation(sensitive_name, horizontal_schema),
+        non_sensitive=Relation(non_sensitive_name, horizontal_schema),
+        vertical=_vertical_relation(relation, policy),
         policy=policy,
     )
+    for row in relation:
+        result._split(row)
+    return result
 
 
-def _vertical_split(relation: Relation, policy: SensitivityPolicy) -> Optional[Relation]:
-    """Build the vertical relation of column-level sensitive attributes."""
+def _vertical_relation(
+    relation: Relation, policy: SensitivityPolicy
+) -> Optional[Relation]:
+    """The empty vertical relation of column-level sensitive attributes."""
     columns = [a for a in policy.sensitive_attributes if a in relation.schema]
     if not columns:
         return None
@@ -277,20 +323,7 @@ def _vertical_split(relation: Relation, policy: SensitivityPolicy) -> Optional[R
         raise PartitioningError(f"key attribute {key!r} not in schema")
     projected_names = [key] + [c for c in columns if c != key]
     schema = relation.schema.project(projected_names)
-    vertical = Relation(f"{relation.name}_vertical", schema)
-    seen = set()
-    for row in relation:
-        key_value = row[key]
-        signature = tuple(row[name] for name in projected_names)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        vertical.insert(
-            {name: row[name] for name in projected_names},
-            sensitive=True,
-            validate=False,
-        )
-    return vertical
+    return Relation(f"{relation.name}_vertical", schema)
 
 
 def partition_by_fraction(

@@ -67,10 +67,6 @@ class Row:
             sensitive=self.sensitive,
         )
 
-    def with_sensitivity(self, sensitive: bool) -> "Row":
-        """Return a copy of the row with the sensitivity flag replaced."""
-        return Row(rid=self.rid, values=dict(self.values), sensitive=sensitive)
-
     def as_dict(self) -> Dict[str, object]:
         return dict(self.values)
 

@@ -69,6 +69,7 @@ class Schema:
             raise SchemaError("a schema must contain at least one attribute")
         self._attributes = attrs
         self._by_name = {a.name: a for a in attrs}
+        self._names = tuple(names)
 
     @classmethod
     def from_names(
@@ -120,7 +121,7 @@ class Schema:
     @property
     def names(self) -> Tuple[str, ...]:
         """Attribute names in declaration order."""
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def attributes(self) -> Tuple[Attribute, ...]:
@@ -153,12 +154,12 @@ class Schema:
 
     def validate_row(self, row: "dict[str, object]") -> None:
         """Validate that ``row`` has exactly the schema's attributes."""
-        missing = set(self.names) - set(row)
-        extra = set(row) - set(self.names)
-        if missing or extra:
+        keys = set(row)
+        if keys != self._by_name.keys():
             raise SchemaError(
-                f"row keys do not match schema: missing={sorted(missing)}, "
-                f"extra={sorted(extra)}"
+                "row keys do not match schema: "
+                f"missing={sorted(self._by_name.keys() - keys)}, "
+                f"extra={sorted(keys - self._by_name.keys())}"
             )
         for attribute in self._attributes:
             attribute.validate(row[attribute.name])

@@ -8,7 +8,10 @@ the pieces a real deployment would need:
 3. run QB setup (bin creation, encryption, fake-tuple padding, outsourcing);
 4. answer selection queries by rewriting them through the bins and merging
    the results;
-5. optionally audit the cloud's recorded views against the partitioned data
+5. absorb inserts: each row is split by the partition's policy once
+   (:meth:`PartitionResult.insert`), then every outsourced attribute's
+   engine places its value in the bins, rebinning when no slot is free;
+6. optionally audit the cloud's recorded views against the partitioned data
    security definition.
 
 Example
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.auditor import PartitionedSecurityAuditor, SecurityReport
 from repro.cloud.lifecycle import FleetLifecycleManager
@@ -36,7 +39,7 @@ from repro.crypto.base import EncryptedSearchScheme
 from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.data.partition import PartitionResult, SensitivityPolicy, partition_relation
 from repro.data.relation import Relation, Row
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import ConfigurationError, QueryError, SchemaError
 from repro.owner.keystore import KeyStore
 
 SchemeFactory = Callable[[], EncryptedSearchScheme]
@@ -89,7 +92,7 @@ class DBOwner:
         self._schemes: Dict[str, EncryptedSearchScheme] = {}
         self._multi_clouds: Dict[str, MultiCloud] = {}
         #: guards the owner's own structural state — the engine/scheme/fleet
-        #: registries and the shared relation object mutated by inserts.
+        #: registries and the partition that inserts grow.
         #: Queries deliberately run outside it (each engine has its own
         #: lock), so one attribute's slow workload never blocks another's.
         self._lock = threading.RLock()
@@ -222,34 +225,52 @@ class DBOwner:
         """
         return self.engine_for(attribute).fleet_lifecycle()
 
-    def insert(self, values: Dict[str, object]) -> None:
-        """Insert a new row, classifying it under the owner's policy."""
-        with self._lock:
-            probe = Row(rid=-1, values=dict(values), sensitive=False)
-            sensitive = self.policy.is_sensitive_row(probe)
-            self.relation.insert(values, sensitive=sensitive, validate=False)
-            for engine in self._engines.values():
-                engine.insert(values, sensitive=sensitive)
+    def insert(self, values: Mapping[str, object], sensitive: bool = False) -> None:
+        """Insert one row: the partition's policy places it, and every
+        outsourced attribute's engine absorbs it.
 
-    def insert_many(self, rows: Sequence[Dict[str, object]]) -> None:
-        """Insert many rows with one batched call per outsourced attribute.
-
-        Classifies every row under the owner's policy, then forwards the
-        whole batch to each engine's
-        :meth:`~repro.core.engine.QueryBinningEngine.insert_many`, which
-        encrypts and ships the sensitive rows as one batch instead of one
-        RPC-and-cache-flush per row.  Stored state is identical to calling
-        :meth:`insert` per row, in order.
+        ``sensitive`` is the row's own flag, which the policy honours when
+        it uses row flags.  A malformed row raises :class:`SchemaError`
+        before anything is stored.
         """
         with self._lock:
-            classified: List[Tuple[Dict[str, object], bool]] = []
-            for values in rows:
-                probe = Row(rid=-1, values=dict(values), sensitive=False)
-                sensitive = self.policy.is_sensitive_row(probe)
-                self.relation.insert(values, sensitive=sensitive, validate=False)
-                classified.append((values, sensitive))
+            self._check_rows([values])
+            row = self.partition.insert(values, sensitive=sensitive)
             for engine in self._engines.values():
-                engine.insert_many(classified)
+                engine.insert(row)
+
+    def insert_many(
+        self, rows: Sequence[Mapping[str, object]], sensitive: bool = False
+    ) -> None:
+        """Insert many rows, all flagged ``sensitive``, with one batched call
+        per outsourced attribute.
+
+        Every row is checked before any is stored, then each is put into the
+        partition once and the whole batch goes to each engine's
+        :meth:`~repro.core.engine.QueryBinningEngine.insert_many`, which
+        encrypts and ships the sensitive rows as one batch instead of one
+        RPC-and-cache-flush per row.  Unless a new value forces a rebin,
+        stored state is identical to calling :meth:`insert` per row, in
+        order.
+        """
+        with self._lock:
+            rows = list(rows)
+            self._check_rows(rows)
+            placed = [
+                self.partition.insert(values, sensitive=sensitive) for values in rows
+            ]
+            for engine in self._engines.values():
+                engine.insert_many(placed)
+
+    def _check_rows(self, rows: Sequence[Mapping[str, object]]) -> None:
+        """Refuse a row that does not match the relation's schema, or that
+        has no value for an outsourced attribute (``None`` marks an empty
+        bin slot)."""
+        for values in rows:
+            self.relation.schema.validate_row(values)
+            for attribute in self._engines:
+                if values[attribute] is None:
+                    raise SchemaError(f"an insert needs a value for {attribute!r}")
 
     # -- lifecycle ------------------------------------------------------------------
     def close(self) -> None:

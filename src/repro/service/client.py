@@ -345,9 +345,12 @@ class ServiceClient:
         self,
         tenant: str,
         values: Dict[str, object],
+        sensitive: bool = False,
         deadline: Optional[float] = None,
     ) -> None:
-        self.call(tenant, "insert", (dict(values),), deadline=deadline)
+        """Insert one row; ``sensitive`` is the row's own flag, which the
+        tenant's policy honours when it uses row flags."""
+        self.call(tenant, "insert", (dict(values), sensitive), deadline=deadline)
 
     def stats(self, tenant: str, deadline: Optional[float] = None) -> object:
         return self.call(tenant, "stats", deadline=deadline)

@@ -13,8 +13,9 @@ multi-tenant analogue of the paper's non-collusion placement rules.
 outsources the requested attributes) or *registered* (tests and benchmarks
 hand in a pre-built owner).  :class:`TenantSession` is the execution target
 a service worker dispatches a request to; the heavy lifting — engine
-locking, cache coherence — lives in the owner/engine layer, so a session
-only adds request dispatch and served/error accounting.
+locking, cache coherence, classifying and placing inserted rows — lives in
+the owner/engine layer, so a session only adds request dispatch and
+served/error accounting.
 
 Resilience additions (PR 10)
 ----------------------------
@@ -163,7 +164,14 @@ class DedupWindow:
 
 
 class TenantSession:
-    """One tenant's live state inside the service."""
+    """One tenant's live state inside the service.
+
+    Ops: ``ping``, ``query(attribute, value)``, ``insert(values[,
+    sensitive])`` and ``stats``.  An insert goes to :meth:`DBOwner.insert`,
+    which refuses a malformed row with a typed error before storing
+    anything; a new value may rebin the tenant's engine, which takes about
+    one set-up, holds the engine lock and clears the recorded views.
+    """
 
     def __init__(
         self,
@@ -215,8 +223,12 @@ class TenantSession:
             rows = self.owner.query(attribute, value)
             return [(row.rid, dict(row.values)) for row in rows]
         if op == "insert":
-            (values,) = self._expect(payload, 1, "insert(values)")
-            self.owner.insert(dict(values))
+            if isinstance(payload, tuple) and len(payload) == 1:
+                payload += (False,)
+            values, sensitive = self._expect(payload, 2, "insert(values[, sensitive])")
+            if not isinstance(sensitive, bool):
+                raise ServiceError("malformed payload; the insert flag must be a bool")
+            self.owner.insert(dict(values), sensitive=sensitive)
             return None
         if op == "stats":
             return self.stats()

@@ -54,10 +54,11 @@ class SyntheticDataset:
     sensitive_counts: Dict[object, int]
     non_sensitive_counts: Dict[object, int]
     #: optional insert workload rows (``insert_count`` knob): ``(values,
-    #: sensitive)`` pairs of brand-new attribute values, ready to feed an
-    #: :class:`~repro.extensions.inserts.IncrementalInserter`.  Generated
-    #: from an independently derived stream seed, so requesting inserts
-    #: never perturbs the base dataset for the same ``seed``.
+    #: sensitive)`` pairs of brand-new attribute values, ready for
+    #: ``engine.insert(partition.insert(values, sensitive))``, which places
+    #: each new value or rebins.  Generated from an independently derived
+    #: stream seed, so requesting inserts never perturbs the base dataset
+    #: for the same ``seed``.
     insert_stream: List[Tuple[Dict[str, str], bool]] = field(default_factory=list)
 
     @property

@@ -104,3 +104,56 @@ class TestBinLayout:
             [Bin(0, ["a"])], [Bin(0, ["b"])], fake_tuples={0: 3}, attribute="A"
         )
         assert "+3 fake" in layout.describe()
+
+
+class TestBinLayoutPlace:
+    """``BinLayout.place``: where an inserted value may go."""
+
+    def _layout(self):
+        # "b" is sensitive-only at (0, 1); "c" sensitive-only at (1, 0);
+        # "x" cleartext-only at (1, 0); "a" is associated
+        sensitive = [Bin(0, ["a", "b"]), Bin(1, ["c"])]
+        non_sensitive = [Bin(0, ["a"]), Bin(1, ["x"])]
+        layout = BinLayout(sensitive, non_sensitive)
+        layout.validate()
+        return layout
+
+    def test_other_side_value_takes_its_transpose_slot(self):
+        layout = self._layout()
+        assert layout.place("c", sensitive=False)  # sensitive (1, 0) -> NSB 0 slot 1
+        assert layout.locate_non_sensitive("c") == (0, 1)
+        layout.validate()
+
+    def test_taken_transpose_slot_refuses(self):
+        layout = self._layout()
+        version = layout.version
+        # "b" at sensitive (0, 1) needs NSB 1 slot 0, which holds "x"
+        assert not layout.place("b", sensitive=False)
+        # "x" at cleartext (1, 0) needs SB 0 slot 1, which holds "b"
+        assert not layout.place("x", sensitive=True)
+        assert layout.locate_non_sensitive("b") is None
+        assert layout.locate_sensitive("x") is None
+        assert layout.version == version
+
+    def test_new_value_takes_least_filled_reachable_bin(self):
+        layout = self._layout()
+        version = layout.version
+        assert layout.place("new", sensitive=True)
+        assert layout.locate_sensitive("new") == (1, 1)
+        assert layout.version > version
+        layout.validate()
+        # both sensitive bins now hold two values, as many as there are
+        # non-sensitive bins: no reachable slot is left
+        assert not layout.place("newer", sensitive=True)
+        assert layout.locate_sensitive("newer") is None
+
+    def test_present_value_is_left_alone(self):
+        layout = self._layout()
+        version = layout.version
+        assert layout.place("a", sensitive=True)
+        assert layout.locate_sensitive("a") == (0, 0)
+        assert layout.version == version
+
+    def test_none_is_refused(self):
+        with pytest.raises(BinningError):
+            self._layout().place(None, sensitive=False)

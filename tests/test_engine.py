@@ -128,7 +128,9 @@ class TestQueryBinningBehaviour:
         engine = make_engine(small_dataset)
         value = small_dataset.all_values[0]
         before = len(engine.query(value))
-        engine.insert({"key": value, "payload": "fresh"}, sensitive=True)
+        engine.insert(
+            engine.partition.insert({"key": value, "payload": "fresh"}, sensitive=True)
+        )
         assert len(engine.query(value)) == before + 1
 
     def test_force_layout_is_respected(self, small_dataset):

@@ -11,7 +11,6 @@ from repro.data.partition import SensitivityPolicy, partition_relation
 from repro.data.relation import Relation
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import ConfigurationError, QueryError
-from repro.extensions.inserts import IncrementalInserter
 from repro.extensions.joins import BinnedJoinExecutor
 from repro.extensions.multi_attribute import MultiAttributeEngine
 from repro.extensions.range_queries import RangeQueryExecutor
@@ -129,58 +128,41 @@ class TestJoins:
             BinnedJoinExecutor(left_engine, right_engine)
 
 
+def insert(engine, values, sensitive):
+    """The library write path: the partition places the row, the engine
+    absorbs it."""
+    engine.insert(engine.partition.insert(values, sensitive=sensitive))
+
+
 class TestInserts:
     def test_insert_existing_value(self, small_dataset):
         engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine)
+        layout = engine.layout
         value = small_dataset.all_values[0]
         before = len(engine.query(value))
-        inserter.insert({"key": value, "payload": "new"}, sensitive=True)
+        insert(engine, {"key": value, "payload": "new"}, sensitive=True)
         assert len(engine.query(value)) == before + 1
-        assert inserter.stats.existing_value_inserts == 1
+        assert engine.layout is layout  # no rebin
 
     def test_insert_new_value_becomes_queryable(self, small_dataset):
         engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine)
-        inserter.insert({"key": "brand-new", "payload": "x"}, sensitive=True)
+        insert(engine, {"key": "brand-new", "payload": "x"}, sensitive=True)
         rows = engine.query("brand-new")
         assert len(rows) == 1
-        assert inserter.stats.new_value_in_place + inserter.stats.rebins_triggered >= 1
+        assert engine.layout.locate_sensitive("brand-new") is not None
 
     def test_insert_new_non_sensitive_value(self, small_dataset):
         engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine)
-        inserter.insert({"key": "public-new", "payload": "y"}, sensitive=False)
+        insert(engine, {"key": "public-new", "payload": "y"}, sensitive=False)
         assert len(engine.query("public-new")) == 1
 
     def test_layout_stays_valid_after_inserts(self, small_dataset):
         engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine)
         for i in range(6):
-            inserter.insert({"key": f"extra{i}", "payload": "z"}, sensitive=(i % 2 == 0))
+            insert(engine, {"key": f"extra{i}", "payload": "z"}, sensitive=(i % 2 == 0))
         engine.layout.validate()
         for i in range(6):
             assert len(engine.query(f"extra{i}")) == 1
-
-    def test_rebin_threshold_triggers_rebuild(self, small_dataset):
-        engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine, rebin_threshold=2)
-        for i in range(4):
-            inserter.insert({"key": f"n{i}", "payload": "w"}, sensitive=False)
-        assert inserter.stats.rebins_triggered >= 1
-        for i in range(4):
-            assert len(engine.query(f"n{i}")) == 1
-
-    def test_missing_attribute_rejected(self, small_dataset):
-        engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine)
-        with pytest.raises(ConfigurationError):
-            inserter.insert({"payload": "no key"}, sensitive=True)
-
-    def test_invalid_threshold_rejected(self, small_dataset):
-        engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        with pytest.raises(ConfigurationError):
-            IncrementalInserter(engine, rebin_threshold=0)
 
 
 class TestMultiAttribute:
@@ -237,48 +219,24 @@ class TestMultiAttribute:
 
 
 class TestInsertAccounting:
-    """Rebin-threshold accounting: every insert counts exactly once, and the
-    pending-value counter tracks the live layout, not a stale one."""
+    """Rebins: forced when no slot is free, or asked for; every value stays
+    retrievable across them."""
 
-    def test_total_counts_forced_rebins(self, small_dataset):
+    def test_exhausted_capacity_rebins_and_keeps_every_value(self, small_dataset):
         engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        # a huge threshold isolates the no-capacity path: the only rebins
-        # that fire are forced by placement failure
-        inserter = IncrementalInserter(engine, rebin_threshold=10_000)
-        issued = 0
+        rebins = issued = 0
         for i in range(60):
-            inserter.insert({"key": f"cram{i}", "payload": "p"}, sensitive=True)
+            layout = engine.layout
+            insert(engine, {"key": f"cram{i}", "payload": "p"}, sensitive=True)
             issued += 1
-            if inserter.stats.new_value_rebins >= 2:
+            rebins += engine.layout is not layout
+            if rebins >= 2:
                 break
-        assert inserter.stats.new_value_rebins >= 1, "never exhausted capacity"
-        assert inserter.stats.total == issued
-        assert inserter.stats.rebins_triggered == inserter.stats.new_value_rebins
+        assert rebins >= 1, "never exhausted capacity"
+        engine.layout.validate()
         # every crammed value is still retrievable after the forced rebins
         for i in range(issued):
             assert len(engine.query(f"cram{i}")) == 1
-
-    def test_external_setup_resets_pending_counter(self, small_dataset):
-        engine = make_engine(small_dataset.partition, small_dataset.attribute)
-        inserter = IncrementalInserter(engine, rebin_threshold=3)
-        # sensitive inserts place in-bin on this dataset (no forced rebins),
-        # so the only rebin that could fire here is the threshold one
-        inserter.insert({"key": "pend0", "payload": "p"}, sensitive=True)
-        inserter.insert({"key": "pend1", "payload": "p"}, sensitive=True)
-        assert inserter.stats.new_value_in_place == 2
-        # an external redeployment rebuilds the layout outside the inserter
-        engine.cloud.reset_observations()
-        engine.setup()
-        # the rebuilt layout absorbed the pending values: the next two
-        # inserts must NOT trip the threshold carried over from before
-        inserter.insert({"key": "pend2", "payload": "p"}, sensitive=True)
-        inserter.insert({"key": "pend3", "payload": "p"}, sensitive=True)
-        assert inserter.stats.rebins_triggered == 0
-        # the third post-rebuild insert legitimately reaches the threshold
-        inserter.insert({"key": "pend4", "payload": "p"}, sensitive=True)
-        assert inserter.stats.rebins_triggered == 1
-        for i in range(5):
-            assert len(engine.query(f"pend{i}")) == 1
 
     def test_insert_rebin_insert_across_placements(self, small_dataset):
         """insert → rebin → insert on a sharded engine stays queryable under
@@ -295,10 +253,9 @@ class TestInsertAccounting:
             multi_cloud=fleet,
         ).setup()
         try:
-            inserter = IncrementalInserter(engine, rebin_threshold=1000)
-            inserter.insert({"key": "pre-rebin", "payload": "a"}, sensitive=True)
-            inserter.rebin()  # a full fleet redeployment
-            inserter.insert({"key": "post-rebin", "payload": "b"}, sensitive=False)
+            insert(engine, {"key": "pre-rebin", "payload": "a"}, sensitive=True)
+            engine.rebin()  # a full fleet redeployment
+            insert(engine, {"key": "post-rebin", "payload": "b"}, sensitive=False)
             workload = ["pre-rebin", "post-rebin", small_dataset.all_values[0]]
             results = {}
             for placement in ("sequential", "batched", "sharded"):

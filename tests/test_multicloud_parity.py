@@ -121,7 +121,7 @@ class TestShardedAcrossConfigurations:
         new_values = dict(template.values)
         new_values[engine.attribute] = value
         before_fleet = sum(s.encrypted_row_count for s in engine.multi_cloud.servers)
-        engine.insert(new_values, sensitive=True)
+        engine.insert(engine.partition.insert(new_values, sensitive=True))
         after_fleet = sum(s.encrypted_row_count for s in engine.multi_cloud.servers)
         assert after_fleet == before_fleet + 1
         # the row landed on exactly the member owning its bin
@@ -149,15 +149,13 @@ class TestShardedAcrossConfigurations:
         """Re-binning re-outsources everywhere; every store — reference and
         fleet members alike — must restart its observation log, or the
         fleet-vs-reference parity invariants break after the first rebin."""
-        from repro.extensions.inserts import IncrementalInserter
-
         harness = parity_harness(DeterministicScheme)
         engine = harness.make_engine(sharded=True)
         workload = harness.workload(repeats=1)
         engine.execute_workload_with_rows(workload, placement="sharded")
         assert any(len(s.view_log) > 0 for s in engine.multi_cloud.servers)
 
-        IncrementalInserter(engine).rebin()
+        engine.rebin()
         assert len(engine.cloud.view_log) == 0
         for server in engine.multi_cloud.servers:
             assert len(server.view_log) == 0

@@ -84,9 +84,10 @@ class TestDBOwner:
                 "Dept": "Design",
             }
         )
-        # New Design employee is non-sensitive; its value is new, so the base
-        # engine cannot serve it until a re-bin, but the partition must hold it.
+        # New Design employee is non-sensitive; its value is new, so the
+        # engine places it in the bins, and the next query returns it.
         assert "E300" in owner.partition.non_sensitive.distinct_values("EId")
+        assert [row["LastName"] for row in owner.query("EId", "E300")] == ["Hire"]
 
     def test_multiple_attributes_use_separate_clouds(self):
         owner = self._owner()

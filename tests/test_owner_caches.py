@@ -25,7 +25,6 @@ from repro.crypto.deterministic import DeterministicScheme
 from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.crypto.searchable import SSEScheme
 from repro.crypto.primitives import SecretKey
-from repro.extensions.inserts import IncrementalInserter
 from repro.workloads.generator import generate_partitioned_dataset
 
 SCHEMES = {
@@ -173,14 +172,13 @@ class TestRebinInvalidation:
         requests, or plaintexts would silently answer from the dead layout."""
         dataset = _make_dataset(seed=11)
         engine = _make_engine(dataset, SCHEMES[scheme_name])
-        inserter = IncrementalInserter(engine)
 
         for value in _values_in_distinct_sensitive_bins(engine, 3):
             engine.query(value)
         assert engine._token_cache and engine._decrypted_bin_cache
         assert engine._request_cache
 
-        inserter.rebin()
+        engine.rebin()
         assert engine._token_cache == {}
         assert engine._request_cache == {}
         assert engine._decrypted_bin_cache == {}
@@ -202,7 +200,7 @@ class TestRebinInvalidation:
 
         template = dict(engine.partition.sensitive.rows[0].values)
         template[engine.attribute] = value
-        engine.insert(template, sensitive=True)
+        engine.insert(engine.partition.insert(template, sensitive=True))
         assert engine._token_cache == {}
         assert engine._request_cache == {}
         assert engine._decrypted_bin_cache == {}

@@ -9,8 +9,12 @@ from repro.data.partition import (
 )
 from repro.data.relation import Relation, Row
 from repro.data.schema import Attribute, Schema
-from repro.exceptions import PartitioningError
-from repro.workloads.employee import build_employee_relation, employee_policy
+from repro.exceptions import PartitioningError, UnknownAttributeError
+from repro.workloads.employee import (
+    build_employee_relation,
+    employee_policy,
+    employee_schema,
+)
 
 
 class TestSensitivityPolicy:
@@ -103,3 +107,50 @@ class TestPartitionByFraction:
         relation = self._relation(25)
         result = partition_by_fraction(relation, "key", 0.4)
         assert result.total_rows == 25
+
+
+def _contents(relation):
+    return [(row.rid, dict(row.values), row.sensitive) for row in relation]
+
+
+class TestPartitionInsert:
+    """``PartitionResult.insert`` puts a row where ``partition_relation``
+    would have put it."""
+
+    def test_inserts_match_partitioning_the_whole_relation(self):
+        rows = build_employee_relation().to_dicts()
+        head = Relation.from_dicts("Employee", employee_schema(), rows[:5])
+        result = partition_relation(head, employee_policy())
+        for values in rows[5:]:
+            result.insert(values)
+        whole = partition_relation(build_employee_relation(), employee_policy())
+        assert _contents(result.sensitive) == _contents(whole.sensitive)
+        assert _contents(result.non_sensitive) == _contents(whole.non_sensitive)
+        assert _contents(result.vertical) == _contents(whole.vertical)
+
+    def test_fresh_rids_are_unused_on_either_side(self):
+        result = partition_relation(build_employee_relation(), employee_policy())
+        taken = set(result.sensitive.rids) | set(result.non_sensitive.rids)
+        values = dict(build_employee_relation().rows[0].values)
+        first = result.insert(values)
+        second = result.insert({**values, "Dept": "Design"})
+        assert first.sensitive and not second.sensitive
+        assert len({first.rid, second.rid} | taken) == len(taken) + 2
+
+    def test_row_flag_is_honoured_when_the_policy_uses_it(self):
+        relation = Relation.from_dicts(
+            "r", Schema([Attribute("key")]), [{"key": "a"}, {"key": "b"}]
+        )
+        flags = partition_relation(relation, SensitivityPolicy())
+        assert flags.insert({"key": "c"}, sensitive=True).sensitive
+        assert not flags.insert({"key": "d"}).sensitive
+        no_flags = partition_relation(relation, SensitivityPolicy(use_row_flags=False))
+        assert not no_flags.insert({"key": "e"}, sensitive=True).sensitive
+
+    def test_missing_attribute_changes_nothing(self):
+        result = partition_relation(build_employee_relation(), employee_policy())
+        before = [len(result.sensitive), len(result.non_sensitive), len(result.vertical)]
+        with pytest.raises(UnknownAttributeError):
+            result.insert({"EId": "E1", "SSN": "1", "Dept": "Defense"})
+        after = [len(result.sensitive), len(result.non_sensitive), len(result.vertical)]
+        assert after == before

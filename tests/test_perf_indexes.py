@@ -287,7 +287,7 @@ class TestOwnerSideCaching:
         template = next(iter(engine.partition.sensitive.rows))
         new_values = dict(template.values)
         new_values[engine.attribute] = value
-        engine.insert(new_values, sensitive=True)
+        engine.insert(engine.partition.insert(new_values, sensitive=True))
         rows = engine.query(value)
         assert engine.scheme.token_calls > calls_after_first
         # the fresh tokens surface the inserted row

@@ -131,7 +131,7 @@ class TestProcessBackendParity:
                 ).rows[0]
                 template = dict(source.values)
                 template[engine.attribute] = value
-                engine.insert(template, sensitive=sensitive)
+                engine.insert(engine.partition.insert(template, sensitive=sensitive))
             outcome = engine.execute_workload_with_rows(
                 [sensitive_value, cleartext_value], placement="sharded"
             )

@@ -35,11 +35,6 @@ class TestRow:
         assert projected.rid == 7 and projected.sensitive
         assert projected.as_dict() == {"name": "ann"}
 
-    def test_with_sensitivity_returns_copy(self):
-        row = Row(rid=1, values={"name": "ann"})
-        flipped = row.with_sensitivity(True)
-        assert flipped.sensitive and not row.sensitive
-
 
 class TestRelation:
     def test_insert_assigns_increasing_rids(self):

@@ -204,7 +204,6 @@ class TestRebalanceRegression:
         observation logs restart, the failed-member exclusion is lifted, and
         the rebuilt replica placement equals a freshly computed router's."""
         from repro.crypto.deterministic import DeterministicScheme
-        from repro.extensions.inserts import IncrementalInserter
 
         engine = QueryBinningEngine(
             partition=parity_dataset.partition,
@@ -222,7 +221,7 @@ class TestRebalanceRegression:
         fleet.failed_members.add(2)  # as if member 2 had crashed
         assert any(len(server.view_log) > 0 for server in fleet.servers)
 
-        IncrementalInserter(engine).rebin()
+        engine.rebin()
 
         assert fleet.failed_members == set()
         for server in fleet.servers:
@@ -341,7 +340,7 @@ class TestReplicatedStorage:
         template = next(iter(engine.partition.sensitive.rows))
         new_values = dict(template.values)
         new_values[engine.attribute] = value
-        engine.insert(new_values, sensitive=True)
+        engine.insert(engine.partition.insert(new_values, sensitive=True))
         after = [engine.multi_cloud[m].encrypted_row_count for m in chain]
         assert after == [count + 1 for count in before]
         # ...and nowhere else

@@ -61,8 +61,8 @@ class TestServiceBasics:
             assert sorted(rid for rid, _values in rows) == sorted(
                 row.rid for row in reference
             )
-            # insert under an existing value: new values have no bin in the
-            # frozen QB layout (rebinning is the IncrementalInserter's job)
+            # insert under an existing value; a new value would be placed
+            # in a free slot or rebin (tests/test_write_path.py)
             before = len(rows)
             client.insert(
                 "acme",

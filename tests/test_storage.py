@@ -324,8 +324,9 @@ class TestMutationPathInvalidation:
         try:
             value = next(iter(dataset.sensitive_counts))
             first = sorted(row.rid for row in engine.query(value))
-            engine.insert({dataset.attribute: value, "payload": "fresh"},
-                          sensitive=True)
+            engine.insert(engine.partition.insert(
+                {dataset.attribute: value, "payload": "fresh"}, sensitive=True
+            ))
             second = sorted(row.rid for row in engine.query(value))
             assert len(second) == len(first) + 1
             assert set(first) < set(second)

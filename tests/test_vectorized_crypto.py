@@ -309,15 +309,17 @@ def test_insert_many_is_equivalent_to_per_row_inserts(
     loop_engine = parity_harness(scheme_cls, dataset=make_dataset()).make_engine()
     batch_engine = parity_harness(scheme_cls, dataset=make_dataset()).make_engine()
 
-    # insert existing values only (new values need re-binning, out of scope)
+    # insert existing values only: a new value could rebin mid-stream
     existing = list(dataset.all_values)[:6]
     stream = [
         ({"key": value, "payload": f"new-{index}"}, index % 2 == 0)
         for index, value in enumerate(existing)
     ]
     for values, sensitive in stream:
-        loop_engine.insert(dict(values), sensitive=sensitive)
-    batch_engine.insert_many([(dict(values), s) for values, s in stream])
+        loop_engine.insert(loop_engine.partition.insert(values, sensitive=sensitive))
+    batch_engine.insert_many(
+        [batch_engine.partition.insert(values, sensitive=s) for values, s in stream]
+    )
 
     assert loop_engine.metadata is not None and batch_engine.metadata is not None
     assert (
