@@ -50,12 +50,7 @@ class FullEncryptionBaseline:
         self.relation = relation
         self.attribute = attribute
         self.scheme = scheme
-        # This baseline models the paper's "No-Ind" systems: every encrypted
-        # selection touches every row.  Force the cloud's linear scan (also
-        # on caller-supplied clouds) so measured behaviour matches the
-        # modelled full-scan cost and the tuples_scanned accounting below.
-        self.cloud = cloud or CloudServer(use_encrypted_indexes=False)
-        self.cloud.use_encrypted_indexes = False
+        self.cloud = cloud or CloudServer()
         self.params = cost_parameters or CostParameters.paper_defaults()
         self._outsourced = False
 

@@ -9,10 +9,11 @@ request it serves.
 
 The sensitive half is always answered by ``scheme.search``; only its input
 differs.  The owner sends the sensitive bin assignment with the ciphertexts,
-and the storage backend groups rows by bin, so a request that names its
-sensitive bin searches that bin's slice (plus any rows the owner left
-unplaced).  A request that names no bin searches every stored row: the
-linear scan, which is the reference semantics the slice must reproduce.
+and the storage backend fixes each row's bin as it stores it, so a request
+that names its sensitive bin searches exactly that bin's slice.  A request
+that names no bin searches every stored row: the linear scan, which is the
+reference semantics the slice must reproduce, and the only read of rows
+stored without a bin.
 
 Interned retrievals
 -------------------
@@ -299,8 +300,8 @@ class CloudServer:
         #: gates the bin-slice read; turning it off forces the linear-scan
         #: reference path (benchmark baseline).
         self.use_encrypted_indexes = use_encrypted_indexes
-        #: the encrypted store — rows grouped by bin, and the rid → sensitive
-        #: bin assignment slice migration reads — lives behind this backend.
+        #: the encrypted store — each row in the sensitive bin it was stored
+        #: with — lives behind this backend.
         self.storage: StorageBackend = make_storage_backend(
             storage_backend, member_name=name, directory=storage_dir
         )
@@ -379,7 +380,8 @@ class CloudServer:
         bin so each bin retrieval scans one slice instead of the whole
         relation.  The grouping reveals nothing new — bin membership is
         exactly what the adversary reconstructs from repeated retrievals.
-        Rows it does not place are scanned by every bin retrieval.
+        A row it does not place joins no bin, so only requests that name no
+        bin read it.
         """
         encrypted_rows = list(encrypted_rows)
         with self._lock:
@@ -479,9 +481,8 @@ class CloudServer:
     def drop_sensitive_bins(self, bins: Sequence[Optional[int]]) -> int:
         """Remove the slices of ``bins`` this member no longer owns.
 
-        The backend re-places the surviving rows in their bins.  Returns the
-        number of rows dropped.  Over a SQLite backend the whole drop is one
-        keyed ``DELETE`` transaction.
+        Returns the number of rows dropped; the surviving rows stay where
+        they are.  Over a SQLite backend the drop is one keyed ``DELETE``.
         """
         with self._lock:
             dropped = self.storage.drop_bins(bins)
@@ -542,11 +543,11 @@ class CloudServer:
         """Serve the sensitive half; returns (matches, rows examined).
 
         The one place the read path is chosen: a request that names its
-        sensitive bin searches the bin's slice plus the unplaced rows, and
-        one that does not (or a server built with
-        ``use_encrypted_indexes=False``) searches every stored row.  Either
-        way ``search`` is one batched pass over the candidates (e.g. SSE
-        trial decryption with per-token HMAC templates).
+        sensitive bin searches exactly the bin's slice, and one that does
+        not (or a server built with ``use_encrypted_indexes=False``)
+        searches every stored row.  Either way ``search`` is one batched
+        pass over the candidates (e.g. SSE trial decryption with per-token
+        HMAC templates).
 
         Under Query Binning a bin's tokens match only rows of that bin, so
         both inputs return the same rows (parity is covered by tests); only

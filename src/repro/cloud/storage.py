@@ -1,35 +1,34 @@
 """Pluggable storage engines for the cloud server's encrypted store.
 
 A :class:`~repro.cloud.server.CloudServer` keeps one sensitive-side store:
-the encrypted relation in storage order, grouped by sensitive bin (the
-*bin-addressed store*), plus the rid → bin assignment that slice migration
-reads.  This module puts it behind one :class:`StorageBackend` interface so
-a member can keep it either in process memory (:class:`MemoryBackend`) or
-in a per-member SQLite file (:class:`SQLiteBackend`) whose size is bounded
-by disk, not RAM.
+the encrypted relation in storage order, each row in the sensitive bin it
+was stored with (the *bin-addressed store*).  This module puts it behind
+one :class:`StorageBackend` interface so a member can keep it either in
+process memory (:class:`MemoryBackend`) or in a per-member SQLite file
+(:class:`SQLiteBackend`) whose size is bounded by disk, not RAM.
 
 Placement
 ---------
-Every reset and append places its rows by the bin assignment it carries: a
-row with a bin joins that bin's slice, a row without one joins the
-unassigned overflow that every bin retrieval also scans.  A store
-outsourced without an assignment therefore keeps every row in the overflow,
-and a bin retrieval over it reads the whole relation.  An assignment that
-arrives after its row is recorded for slice migration at once, but moves
-the row out of the overflow only when a drop re-places the survivors.
+A row's bin is fixed when the row is stored: every reset, append and
+migrated slice places its own rows by the bin assignment that arrives with
+them, and nothing moves a row afterwards.  A row with a bin joins that
+bin's slice; a row without one is kept for requests that name no bin (the
+linear scan over every stored row).  A bin retrieval reads exactly its
+bin's slice.  A store outsourced without an assignment (the baselines)
+therefore has only unplaced rows, and its bin slices are empty.
 
 Parity contract
 ---------------
 Both backends must be *observably identical*: the rows a full read or a bin
-scan returns and their order are pinned by the cross-backend parity suite
+read returns and their order are pinned by the cross-backend parity suite
 (``tests/test_storage.py``).  The ordering invariants that make this work:
 
 * storage order is append order.  SQLite keeps a monotonically increasing
   ``position`` rowid; after a :meth:`StorageBackend.drop_bins` the surviving
   positions are sparse where the memory backend compacts, but the *relative*
   order — the only thing schemes observe — is identical.
-* a bin scan serves the bin's slice in append order followed by the
-  unassigned rows in append order, exactly as the dict-of-lists store does.
+* a bin read serves the bin's slice in append order, exactly as the
+  dict-of-lists store does.
 
 Durability and transactions
 ---------------------------
@@ -38,11 +37,11 @@ shared connection is serialized by a re-entrant mutex — concurrent tenant
 sessions, fleet waves, and lifecycle migrations may all reach one member —
 and a SAVEPOINT scope holds the mutex end to end, so a probe from another
 thread can never interleave inside an open transaction.  Every
-multi-statement mutation — outsourcing, appends, migration drops — runs
-inside a ``SAVEPOINT`` and rolls back atomically on error, so a failed
-migration can never leave a member with half a slice: the handoff is a keyed
-``SELECT`` on the source and one transactional ``INSERT`` batch on the
-destination instead of a Python row loop.
+multi-statement mutation — outsourcing, appends — runs inside a
+``SAVEPOINT`` and rolls back atomically on error, so a failed migration can
+never leave a member with half a slice: the handoff is a keyed ``SELECT`` on
+the source and one transactional ``INSERT`` batch on the destination instead
+of a Python row loop, and a drop is one keyed ``DELETE``.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ import sqlite3
 import tempfile
 import threading
 import weakref
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -67,8 +67,7 @@ class StorageBackend:
 
     The server owns the *observable* behaviour — retrieval interning, view
     logs, network charging, invalidation — and delegates every touch of the
-    encrypted relation, its bin-addressed grouping, and the rid → bin
-    assignment to one of these.
+    encrypted relation and its bin-addressed grouping to one of these.
     """
 
     #: short name used in diagnostics and benchmark labels
@@ -101,11 +100,11 @@ class StorageBackend:
         raise NotImplementedError
 
     def bin_counts(self) -> Dict[Optional[int], int]:
-        """Stored row count per assigned bin (``None`` = unassigned)."""
+        """Stored row count per bin (``None`` = rows stored without one)."""
         raise NotImplementedError
 
     def bin_candidates(self, bin_index: int) -> Sequence[EncryptedRow]:
-        """The bin-addressed scan set: the bin's slice plus unassigned rows."""
+        """The bin-addressed scan set: exactly the bin's slice."""
         raise NotImplementedError
 
     # -- slice migration ----------------------------------------------------------
@@ -116,20 +115,12 @@ class StorageBackend:
         raise NotImplementedError
 
     def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
-        """Remove the slices of ``bins``; returns the number of rows dropped.
-
-        The survivors are re-placed from the recorded assignment, so a row
-        whose bin arrived after its append leaves the unassigned overflow.
-        """
+        """Remove the slices of ``bins``; returns the number of rows dropped."""
         raise NotImplementedError
 
     # -- introspection ------------------------------------------------------------
     def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
         """The bin-addressed store as a dict (introspection/tests only)."""
-        raise NotImplementedError
-
-    def bin_assignment_view(self) -> Dict[int, int]:
-        """The rid → bin assignment as a dict (introspection/tests only)."""
         raise NotImplementedError
 
     # -- lifecycle ----------------------------------------------------------------
@@ -143,15 +134,14 @@ class StorageBackend:
 
 
 class MemoryBackend(StorageBackend):
-    """In-process storage: a row list, a dict of bin slices, a dict assignment."""
+    """In-process storage: a row list and a dict of bin slices."""
 
     kind = "memory"
 
     def __init__(self) -> None:
         self._rows: List[EncryptedRow] = []
-        self._bin_store: Dict[int, List[EncryptedRow]] = {}
-        self._unassigned: List[EncryptedRow] = []
-        self._bin_assignment: Dict[int, int] = {}
+        #: bin → its rows in storage order; ``None`` keys the unplaced rows
+        self._slices: Dict[Optional[int], List[EncryptedRow]] = defaultdict(list)
 
     # -- outsourcing --------------------------------------------------------------
     def reset(
@@ -160,9 +150,7 @@ class MemoryBackend(StorageBackend):
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
         self._rows = []
-        self._bin_store = {}
-        self._unassigned = []
-        self._bin_assignment = {}
+        self._slices = defaultdict(list)
         self.append(rows, bin_assignment)
 
     def append(
@@ -171,23 +159,9 @@ class MemoryBackend(StorageBackend):
         bin_assignment: Optional[Mapping[int, int]],
     ) -> None:
         self._rows.extend(rows)
-        if bin_assignment:
-            self._bin_assignment.update(bin_assignment)
-        self._place_in_bins(rows, bin_assignment or {})
-
-    def _place_in_bins(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Mapping[int, int],
-    ) -> None:
+        place, slices = (bin_assignment or {}).get, self._slices
         for row in rows:
-            bin_index = bin_assignment.get(row.rid)
-            if bin_index is None:
-                # Rows the owner did not place must stay visible to every bin
-                # retrieval, otherwise the sliced scan could miss matches.
-                self._unassigned.append(row)
-            else:
-                self._bin_store.setdefault(bin_index, []).append(row)
+            slices[place(row.rid)].append(row)
 
     # -- reads --------------------------------------------------------------------
     def row_count(self) -> int:
@@ -197,64 +171,51 @@ class MemoryBackend(StorageBackend):
         return self._rows
 
     def bin_counts(self) -> Dict[Optional[int], int]:
-        counts: Dict[Optional[int], int] = {}
-        for row in self._rows:
-            bin_index = self._bin_assignment.get(row.rid)
-            counts[bin_index] = counts.get(bin_index, 0) + 1
-        return counts
+        return {bin_index: len(rows) for bin_index, rows in self._slices.items()}
 
     def bin_candidates(self, bin_index: int) -> Sequence[EncryptedRow]:
-        candidates = self._bin_store.get(bin_index, [])
-        if self._unassigned:
-            candidates = candidates + self._unassigned
-        return candidates
+        return self._slices.get(bin_index, ())
 
     # -- slice migration ----------------------------------------------------------
+    def _picked(self, bins: Sequence[Optional[int]]) -> List[Optional[int]]:
+        """The stored bins among ``bins``."""
+        return [bin_index for bin_index in set(bins) if bin_index in self._slices]
+
     def slice_bins(
         self, bins: Sequence[Optional[int]]
     ) -> Tuple[List[EncryptedRow], Dict[int, int]]:
-        wanted = set(bins)
-        include_unassigned = None in wanted
-        rows: List[EncryptedRow] = []
-        assignment: Dict[int, int] = {}
-        for row in self._rows:
-            bin_index = self._bin_assignment.get(row.rid)
-            if bin_index is None:
-                if include_unassigned:
-                    rows.append(row)
-            elif bin_index in wanted:
-                rows.append(row)
-                assignment[row.rid] = bin_index
+        picked = self._picked(bins)
+        # slices hold the very objects of ``_rows``; identity recovers their
+        # storage order across bins
+        members = {id(row) for bin_index in picked for row in self._slices[bin_index]}
+        rows = [row for row in self._rows if id(row) in members]
+        assignment = {
+            row.rid: bin_index
+            for bin_index in picked
+            if bin_index is not None
+            for row in self._slices[bin_index]
+        }
         return rows, assignment
 
     def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
-        wanted = set(bins)
-        include_unassigned = None in wanted
-        keep: List[EncryptedRow] = []
-        dropped = 0
-        for row in self._rows:
-            bin_index = self._bin_assignment.get(row.rid)
-            if (bin_index is None and include_unassigned) or (
-                bin_index is not None and bin_index in wanted
-            ):
-                dropped += 1
-                self._bin_assignment.pop(row.rid, None)
-            else:
-                keep.append(row)
-        if not dropped:
+        gone = {
+            id(row)
+            for bin_index in self._picked(bins)
+            for row in self._slices.pop(bin_index)
+        }
+        if not gone:
             return 0
-        self._rows = keep
-        self._bin_store = {}
-        self._unassigned = []
-        self._place_in_bins(self._rows, self._bin_assignment)
-        return dropped
+        count = len(self._rows)
+        self._rows = [row for row in self._rows if id(row) not in gone]
+        return count - len(self._rows)
 
     # -- introspection ------------------------------------------------------------
     def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
-        return self._bin_store
-
-    def bin_assignment_view(self) -> Dict[int, int]:
-        return self._bin_assignment
+        return {
+            bin_index: rows
+            for bin_index, rows in self._slices.items()
+            if bin_index is not None
+        }
 
 
 def _cleanup_sqlite(connection: sqlite3.Connection, path: Optional[str]) -> None:
@@ -272,18 +233,15 @@ def _cleanup_sqlite(connection: sqlite3.Connection, path: Optional[str]) -> None
 
 
 class SQLiteBackend(StorageBackend):
-    """Per-member SQLite storage: two tables, bin-keyed indexes.
+    """Per-member SQLite storage: one table, keyed by bin.
 
     Schema:
 
     ``rows(position, rid, ciphertext, search_tag, is_fake, placed_bin)``
-        the encrypted relation in storage order.  ``placed_bin`` is the
-        bin-addressed store: the bin each row was *placed* in at append time
-        (``NULL`` = the unassigned overflow scanned by every bin retrieval),
-        mirroring the dict-of-lists store exactly.
-    ``bins(rid, bin)``
-        the rid → bin assignment used by slice migration, exactly like the
-        memory backend's ``_bin_assignment`` dict.
+        the encrypted relation in storage order.  ``placed_bin`` is the bin
+        the row was stored with (``NULL`` = none), indexed by
+        ``rows_placed_bin``: the bin-addressed store, mirroring the memory
+        backend's slices exactly.
     """
 
     kind = "sqlite"
@@ -297,13 +255,7 @@ class SQLiteBackend(StorageBackend):
             is_fake    INTEGER NOT NULL,
             placed_bin INTEGER
         );
-        CREATE INDEX IF NOT EXISTS rows_rid ON rows(rid);
         CREATE INDEX IF NOT EXISTS rows_placed_bin ON rows(placed_bin);
-        CREATE TABLE IF NOT EXISTS bins (
-            rid INTEGER PRIMARY KEY,
-            bin INTEGER NOT NULL
-        );
-        CREATE INDEX IF NOT EXISTS bins_bin ON bins(bin);
     """
 
     def __init__(
@@ -381,7 +333,6 @@ class SQLiteBackend(StorageBackend):
     ) -> None:
         with self.transaction():
             self._connection.execute("DELETE FROM rows")
-            self._connection.execute("DELETE FROM bins")
             self._row_count = 0
             self._next_position = 0
             self.append(rows, bin_assignment)
@@ -409,11 +360,6 @@ class SQLiteBackend(StorageBackend):
                     for offset, row in enumerate(rows)
                 ),
             )
-            if bin_assignment:
-                self._connection.executemany(
-                    "INSERT OR REPLACE INTO bins(rid, bin) VALUES (?, ?)",
-                    bin_assignment.items(),
-                )
             self._row_count += len(rows)
             self._next_position = start + len(rows)
 
@@ -446,15 +392,14 @@ class SQLiteBackend(StorageBackend):
             return {
                 bin_index: count
                 for bin_index, count in self._connection.execute(
-                    "SELECT b.bin, COUNT(*) FROM rows r"
-                    " LEFT JOIN bins b ON b.rid = r.rid GROUP BY b.bin"
+                    "SELECT placed_bin, COUNT(*) FROM rows GROUP BY placed_bin"
                 )
             }
 
     def bin_candidates(self, bin_index: int) -> List[EncryptedRow]:
         make = self._make_row
         with self._mutex:
-            candidates = [
+            return [
                 make(*fields)
                 for fields in self._connection.execute(
                     "SELECT rid, ciphertext, search_tag, is_fake FROM rows"
@@ -462,31 +407,17 @@ class SQLiteBackend(StorageBackend):
                     (bin_index,),
                 )
             ]
-            candidates.extend(
-                make(*fields)
-                for fields in self._connection.execute(
-                    "SELECT rid, ciphertext, search_tag, is_fake FROM rows"
-                    " WHERE placed_bin IS NULL ORDER BY position"
-                )
-            )
-        return candidates
 
     # -- slice migration ----------------------------------------------------------
-    def _slice_condition(
-        self, bins: Sequence[Optional[int]]
-    ) -> Tuple[str, List[int]]:
-        """WHERE clause (over ``rows r`` joined as ``b``) selecting the slices."""
+    @staticmethod
+    def _slice_condition(bins: Sequence[Optional[int]]) -> Tuple[str, List[int]]:
+        """WHERE clause selecting the rows placed in ``bins``."""
         wanted = set(bins)
-        include_unassigned = None in wanted
         real = sorted(b for b in wanted if b is not None)
-        clauses = []
-        if real:
-            clauses.append(f"b.bin IN ({','.join('?' * len(real))})")
-        if include_unassigned:
-            clauses.append("b.rid IS NULL")
-        if not clauses:
-            clauses.append("0")
-        return " OR ".join(clauses), real
+        clauses = [f"placed_bin IN ({','.join('?' * len(real))})"] if real else []
+        if None in wanted:
+            clauses.append("placed_bin IS NULL")
+        return " OR ".join(clauses) or "0", real
 
     def slice_bins(
         self, bins: Sequence[Optional[int]]
@@ -503,9 +434,8 @@ class SQLiteBackend(StorageBackend):
                 is_fake,
                 bin_index,
             ) in self._connection.execute(
-                "SELECT r.rid, r.ciphertext, r.search_tag, r.is_fake, b.bin"
-                " FROM rows r LEFT JOIN bins b ON b.rid = r.rid"
-                f" WHERE {condition} ORDER BY r.position",
+                "SELECT rid, ciphertext, search_tag, is_fake, placed_bin FROM rows"
+                f" WHERE {condition} ORDER BY position",
                 params,
             ):
                 rows.append(make(rid, ciphertext, search_tag, is_fake))
@@ -515,31 +445,12 @@ class SQLiteBackend(StorageBackend):
 
     def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
         condition, params = self._slice_condition(bins)
-        with self.transaction():
-            dropped_rows = self._connection.execute(
-                "SELECT r.position, r.rid FROM rows r"
-                f" LEFT JOIN bins b ON b.rid = r.rid WHERE {condition}",
-                params,
-            ).fetchall()
-            if not dropped_rows:
-                return 0
-            self._connection.executemany(
-                "DELETE FROM rows WHERE position = ?",
-                ((position,) for position, _rid in dropped_rows),
-            )
-            self._connection.executemany(
-                "DELETE FROM bins WHERE rid = ?",
-                ((rid,) for _position, rid in dropped_rows),
-            )
-            # Match the memory backend's post-drop rebuild: surviving rows
-            # are re-placed from the *assignment*, so a row whose assignment
-            # arrived after its append moves out of the unassigned overflow.
-            self._connection.execute(
-                "UPDATE rows SET placed_bin ="
-                " (SELECT bin FROM bins WHERE bins.rid = rows.rid)"
-            )
-            self._row_count -= len(dropped_rows)
-        return len(dropped_rows)
+        with self._mutex:
+            dropped = self._connection.execute(
+                f"DELETE FROM rows WHERE {condition}", params
+            ).rowcount
+            self._row_count -= dropped
+        return dropped
 
     # -- introspection ------------------------------------------------------------
     def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
@@ -560,10 +471,6 @@ class SQLiteBackend(StorageBackend):
                     make(rid, ciphertext, search_tag, is_fake)
                 )
         return view
-
-    def bin_assignment_view(self) -> Dict[int, int]:
-        with self._mutex:
-            return dict(self._connection.execute("SELECT rid, bin FROM bins"))
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

@@ -236,6 +236,10 @@ class QueryBinningEngine(_PartitionedEngineBase):
         replication_factor: int = 1,
     ):
         super().__init__(partition, attribute, scheme, cloud)
+        if not partition.sensitive.schema[attribute].searchable:
+            # the partition refuses ``None`` (an empty bin slot) only for
+            # searchable attributes
+            raise ConfigurationError(f"attribute {attribute!r} is not searchable")
         self.add_fake_tuples = add_fake_tuples
         self.multi_cloud = multi_cloud
         self.shard_policy = shard_policy
@@ -324,11 +328,11 @@ class QueryBinningEngine(_PartitionedEngineBase):
         encrypted = self._encrypt_sensitive_rows()
         # The bin assignment groups the cloud's store by sensitive bin and
         # places rows on the shard router's members.
-        bin_assignment: Dict[int, int] = {}
-        for row in self.partition.sensitive.rows:
-            location = self.layout.locate_sensitive(row[self.attribute])
-            if location is not None:
-                bin_assignment[row.rid] = location[0]
+        locate = self.layout.locate_sensitive
+        bin_assignment: Dict[int, int] = {
+            row.rid: locate(row[self.attribute])[0]
+            for row in self.partition.sensitive.rows
+        }
         if self.add_fake_tuples:
             fakes, fake_bins = self._make_fake_rows(self.layout)
             self.fake_rows_outsourced = len(fakes)

@@ -139,14 +139,10 @@ class ArxIndexScheme(EncryptedSearchScheme):
     def search(
         self, stored: Sequence[EncryptedRow], tokens: Sequence[SearchToken]
     ) -> List[EncryptedRow]:
-        """Exact-match probes against a tag index (built lazily per call)."""
-        index: Dict[bytes, List[EncryptedRow]] = defaultdict(list)
-        for row in stored:
-            index[row.search_tag].append(row)
-        matches: List[EncryptedRow] = []
-        for token in tokens:
-            matches.extend(index.get(token.payload, ()))
-        return matches
+        """The stored rows whose occurrence tag a token names, in storage
+        order (one tag-set filter, as the deterministic scheme does)."""
+        wanted = {token.payload for token in tokens}
+        return [row for row in stored if row.search_tag in wanted]
 
     # -- metadata accessors -----------------------------------------------------
     def occurrence_count(self, attribute: str, value: object) -> int:

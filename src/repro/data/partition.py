@@ -22,7 +22,7 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from repro.data.relation import Relation, Row
 from repro.data.schema import Schema
-from repro.exceptions import PartitioningError
+from repro.exceptions import PartitioningError, SchemaError
 
 
 RowPredicate = Callable[[Row], bool]
@@ -209,6 +209,9 @@ class PartitionResult:
             (row.rid for part in (self.sensitive, self.non_sensitive) for row in part),
             default=-1,
         )
+        #: the attributes bins can be built over; :meth:`check` refuses
+        #: ``None`` for each
+        self._searchable = self.sensitive.schema.searchable_names
         #: the (key, column...) tuples ``vertical`` already holds
         self._vertical_rows = set()
         if self.vertical is not None:
@@ -243,15 +246,25 @@ class PartitionResult:
 
         ``sensitive`` is the row's own flag, which the policy honours when
         it uses row flags.  The row gets one fresh rid, unused on either
-        side, and column-level attributes go to :attr:`vertical`.
+        side, and column-level attributes go to :attr:`vertical`.  A row
+        :meth:`check` refuses raises :class:`SchemaError` before anything
+        is added.
         """
         row = Row(rid=self._next_rid, values=dict(values), sensitive=sensitive)
         return self._split(row)
 
+    def check(self, values: Mapping[str, object]) -> None:
+        """Refuse a row with no value for a searchable attribute: bins are
+        built over those values, and ``None`` marks an empty bin slot."""
+        for name in self._searchable:
+            if name in values and values[name] is None:
+                raise SchemaError(f"a row needs a value for {name!r}")
+
     def _split(self, row: Row) -> Row:
-        """The per-row step: classify ``row`` under the policy, move its
-        column-level attributes to :attr:`vertical`, and add the rest to
-        ``Rs`` or ``Rns`` under the row's rid."""
+        """The per-row step: check ``row``, classify it under the policy,
+        move its column-level attributes to :attr:`vertical`, and add the
+        rest to ``Rs`` or ``Rns`` under the row's rid."""
+        self.check(row.values)
         sensitive = (self.policy or SensitivityPolicy()).is_sensitive_row(row)
         kept = {name: row[name] for name in self.sensitive.schema.names}
         vertical = None

@@ -39,7 +39,7 @@ from repro.crypto.base import EncryptedSearchScheme
 from repro.crypto.nondeterministic import NonDeterministicScheme
 from repro.data.partition import PartitionResult, SensitivityPolicy, partition_relation
 from repro.data.relation import Relation, Row
-from repro.exceptions import ConfigurationError, QueryError, SchemaError
+from repro.exceptions import ConfigurationError, QueryError
 from repro.owner.keystore import KeyStore
 
 SchemeFactory = Callable[[], EncryptedSearchScheme]
@@ -264,13 +264,10 @@ class DBOwner:
 
     def _check_rows(self, rows: Sequence[Mapping[str, object]]) -> None:
         """Refuse a row that does not match the relation's schema, or that
-        has no value for an outsourced attribute (``None`` marks an empty
-        bin slot)."""
+        the partition would refuse."""
         for values in rows:
             self.relation.schema.validate_row(values)
-            for attribute in self._engines:
-                if values[attribute] is None:
-                    raise SchemaError(f"an insert needs a value for {attribute!r}")
+            self.partition.check(values)
 
     # -- lifecycle ------------------------------------------------------------------
     def close(self) -> None:

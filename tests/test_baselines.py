@@ -37,9 +37,14 @@ class TestFullEncryptionBaseline:
         baseline = FullEncryptionBaseline(
             small_relation, "key", NonDeterministicScheme()
         ).setup()
-        _rows, trace = baseline.query_with_trace(small_relation.distinct_values("key")[0])
-        assert trace.tuples_scanned == len(small_relation)
-        assert trace.modelled_seconds > 0
+        # every query scans every stored row: its request names no bin
+        for query_count, value in enumerate(small_relation.distinct_values("key")[:3], 1):
+            _rows, trace = baseline.query_with_trace(value)
+            assert trace.tuples_scanned == len(small_relation)
+            assert trace.modelled_seconds > 0
+            assert baseline.cloud.stats.sensitive_rows_scanned == (
+                query_count * len(small_relation)
+            )
 
     def test_modelled_cost_scales_with_relation_size(self, small_relation):
         small = FullEncryptionBaseline(

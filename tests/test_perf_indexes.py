@@ -165,8 +165,8 @@ class TestOneReadPath:
                 engine.execute_workload(dataset.all_values, placement="batched")
             finally:
                 connection.set_trace_callback(None)
-            # the slice and the unassigned overflow: two reads per half
-            assert 0 < len(selects) <= 2 * len(halves)
+            # one read per half: the bin's slice
+            assert 0 < len(selects) <= len(halves)
         finally:
             engine.cloud.close()
 

@@ -70,7 +70,6 @@ def assert_backend_parity(memory, sqlite, bins) -> None:
     assert memory.row_count() == sqlite.row_count()
     assert list(memory.all_rows()) == list(sqlite.all_rows())
     assert memory.bin_counts() == sqlite.bin_counts()
-    assert memory.bin_assignment_view() == sqlite.bin_assignment_view()
     assert memory.bin_store_view() == sqlite.bin_store_view()
     for bin_index in bins:
         assert list(memory.bin_candidates(bin_index)) == list(
@@ -108,22 +107,27 @@ class TestBackendUnitParity:
             backend.reset(base, assignment)
         assert_backend_parity(memory, sqlite, bins=range(4))
         if assignment is None:
-            # a store outsourced without an assignment keeps every row in
-            # the overflow, so any bin retrieval scans the whole relation
-            assert list(memory.bin_candidates(0)) == base
+            # a store outsourced without an assignment places no row, so
+            # every bin slice is empty and only the linear scan reads them
+            for backend in (memory, sqlite):
+                assert list(backend.bin_candidates(0)) == []
+                assert backend.bin_counts() == {None: len(base)}
 
-        # append a second batch; with holes, one row's assignment arrives
-        # only now, and one appended row stays unassigned (the overflow
-        # every bin scans)
+        # append a second batch; with holes, one appended row stays without
+        # a bin, and an assignment for a row stored earlier does not move it
         extra = synthetic_rows(8, start_rid=100)
         late = self.assignment_for(extra, shape)
         if shape == "holes":
-            late[0] = 2  # base rid 0 was unassigned; its bin arrives late
+            late[0] = 2  # base rid 0 was stored without a bin
         for backend in (memory, sqlite):
             backend.append(extra, late)
         assert_backend_parity(memory, sqlite, bins=range(4))
+        if shape == "holes":
+            for backend in (memory, sqlite):
+                assert 0 not in {row.rid for row in backend.bin_candidates(2)}
+                assert 0 in {row.rid for row in backend.slice_bins([None])[0]}
 
-        # drop one bin plus the unassigned overflow, then a no-op drop
+        # drop one bin plus the rows stored without one, then a no-op drop
         dropped_memory = memory.drop_bins([1, None])
         dropped_sqlite = sqlite.drop_bins([1, None])
         assert dropped_memory == dropped_sqlite > 0
@@ -131,36 +135,23 @@ class TestBackendUnitParity:
         assert memory.drop_bins([99]) == sqlite.drop_bins([99]) == 0
         assert_backend_parity(memory, sqlite, bins=range(4))
 
-    def test_post_drop_replacement_from_assignment(self, backend_pair):
-        """After a drop, surviving rows re-place from the *global* map.
-
-        A row appended before its bin assignment existed sits in the
-        unassigned overflow; the memory backend's post-drop rebuild moves it
-        into its bin, and the SQLite backend must do the same.
-        """
-        memory, sqlite = backend_pair
-        rows = synthetic_rows(6)
-        for backend in (memory, sqlite):
-            backend.reset(rows, None)
-            # assignments arrive only with a later (empty) append
-            backend.append([], {row.rid: 0 for row in rows[:3]})
-        # before the drop both backends scan all six rows for any bin...
-        assert len(memory.bin_candidates(0)) == len(sqlite.bin_candidates(0)) == 6
-        for backend in (memory, sqlite):
-            assert backend.drop_bins([99]) == 0  # nothing dropped, no rebuild
-        assert len(sqlite.bin_candidates(0)) == 6
-        # ...and dropping anything triggers the rebuild that re-places the
-        # three assigned rows out of the overflow on both backends alike.
-        sacrificial = synthetic_rows(1, start_rid=50)
-        for backend in (memory, sqlite):
-            backend.append(sacrificial, {50: 7})
-            assert backend.drop_bins([7]) == 1
-        assert_backend_parity(memory, sqlite, bins=range(3))
-        for backend in (memory, sqlite):
-            # the three assigned rows left the overflow for their bin...
-            assert [row.rid for row in backend.bin_store_view().get(0, [])] == [0, 1, 2]
-            # ...so a scan of any *other* bin now only sees the 3 unassigned
-            assert len(backend.bin_candidates(1)) == 3
+    def test_bin_read_returns_its_slice_alone(self, backend_pair):
+        """A bin read returns exactly the bin's slice; rows stored without a
+        bin are read only by the linear scan."""
+        rows = synthetic_rows(12)
+        # rids 0, 4 and 8 are stored without a bin
+        assignment = {row.rid: row.rid % 3 for row in rows if row.rid % 4}
+        extra = synthetic_rows(4, start_rid=100)
+        for backend in backend_pair:
+            backend.reset(rows, assignment)
+            backend.append(extra, {100: 1, 102: 1})
+            for bin_index in range(3):
+                assert [row.rid for row in backend.bin_candidates(bin_index)] == [
+                    rid for rid in sorted(assignment) if assignment[rid] == bin_index
+                ] + ([100, 102] if bin_index == 1 else [])
+            assert list(backend.all_rows()) == rows + extra
+            assert backend.bin_counts()[None] == 5
+        assert_backend_parity(*backend_pair, bins=range(3))
 
     def test_sqlite_transaction_rolls_back_atomically(self, backend_pair):
         memory, sqlite = backend_pair
@@ -175,7 +166,7 @@ class TestBackendUnitParity:
         # tables *and* the Python-side counters rolled back together
         assert sqlite.all_rows() == before
         assert sqlite.row_count() == 5
-        assert sqlite.bin_assignment_view() == {}
+        assert sqlite.bin_counts() == {None: 5}
         # the next append lands at the positions the rollback released
         for backend in (memory, sqlite):
             backend.append(synthetic_rows(2, start_rid=300), None)

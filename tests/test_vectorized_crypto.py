@@ -246,9 +246,7 @@ class TestSchemeRoundTrips:
         tokens = scheme.tokens_for_values(["a", "b"], "key")
         matches = [m.rid for m in scheme.search(stored, tokens)]
         expected = [row.rid for row in rows if row["key"] in {"a", "b"}]
-        assert sorted(matches) == sorted(expected)
-        if scheme_cls is not ArxIndexScheme:  # Arx answers in token order
-            assert matches == expected
+        assert matches == expected
 
 
 class TestSSESearchEdgeCases:

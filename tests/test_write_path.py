@@ -4,16 +4,23 @@ outsourced attribute's engine places its value.
 Each test pins one way an insert went wrong before the two steps were one
 path: a write acknowledged and never returned, a column-level attribute
 outsourced in clear, two engines handing out one rid, a value placed off
-its transpose slot, a row flag the wire could not carry, and a malformed
-row that changed state before it was refused.
+its transpose slot, a row flag the wire could not carry, a malformed row
+that changed state before it was refused, and a row with no binned value
+kept in the partition and later stored outside every bin.
 """
 
 from contextlib import contextmanager
 
 import pytest
 
+from repro.cloud.server import CloudServer
+from repro.core.engine import QueryBinningEngine
+from repro.crypto.deterministic import DeterministicScheme
+from repro.crypto.primitives import SecretKey
 from repro.data.partition import SensitivityPolicy
-from repro.exceptions import SchemaError, ServiceError
+from repro.data.relation import Relation
+from repro.data.schema import Attribute, Schema
+from repro.exceptions import ConfigurationError, SchemaError, ServiceError
 from repro.owner.db_owner import DBOwner
 from repro.service import EncryptedSearchService, ServiceClient, TenantRegistry
 from repro.workloads.employee import build_employee_relation, employee_policy
@@ -262,3 +269,43 @@ def test_malformed_row_refuses_the_whole_batch():
         )
     assert _stored_sizes(owner) == before
     assert owner.query("EId", "E994") == []
+
+
+def test_library_insert_without_a_binned_value_changes_nothing():
+    """The partition refuses ``None`` for the binned attribute before either
+    side changes, so no later rebin can store a row outside every bin."""
+    dataset = generate_partitioned_dataset(
+        num_values=30, sensitivity_fraction=0.4, association_fraction=0.5, seed=21
+    )
+    engine = QueryBinningEngine(
+        dataset.partition,
+        dataset.attribute,
+        DeterministicScheme(SecretKey.from_passphrase("write-path")),
+        cloud=CloudServer(),
+    ).setup()
+    partition = engine.partition
+    before = (len(partition.sensitive), len(partition.non_sensitive))
+    with pytest.raises(SchemaError):
+        engine.insert(
+            partition.insert(
+                {dataset.attribute: None, "payload": "no-bin"}, sensitive=True
+            )
+        )
+    assert (len(partition.sensitive), len(partition.non_sensitive)) == before
+    engine.rebin()
+    assert None not in engine.cloud.stored_sensitive_bins()
+
+
+def test_only_a_searchable_attribute_is_binned():
+    """The partition refuses ``None`` only for searchable attributes, so
+    an attribute that may hold ``None`` is never binned."""
+    schema = Schema([Attribute("key"), Attribute("note", searchable=False)])
+    relation = Relation("r", schema)
+    relation.insert({"key": "a", "note": None}, sensitive=True)
+    relation.insert({"key": "b", "note": "n"})
+    owner = DBOwner(relation, SensitivityPolicy())
+    with pytest.raises(ConfigurationError):
+        owner.outsource("note")
+    owner.outsource("key")
+    owner.insert({"key": "a", "note": None}, sensitive=True)
+    assert rids(owner.query("key", "a")) == oracle(owner, "key", "a")
