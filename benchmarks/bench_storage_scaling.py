@@ -48,7 +48,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 if __package__ in (None, ""):  # direct script execution: mirror conftest.py
     _ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +59,7 @@ if __package__ in (None, ""):  # direct script execution: mirror conftest.py
 import pytest
 
 from repro.cloud.server import CloudServer
+from repro.crypto.base import EncryptedRow
 from repro.crypto.deterministic import DeterministicScheme
 from repro.crypto.primitives import SecretKey
 from repro.data.relation import Row
@@ -125,15 +126,17 @@ def build_store(
             for offset in range(take)
         ]
         encrypted = scheme.encrypt_rows(chunk, "key")
-        assignment = {row.rid: bin_of(row.rid, num_values) for row in chunk}
+        slices: Dict[int, List[EncryptedRow]] = {}
+        for row in encrypted:
+            slices.setdefault(bin_of(row.rid, num_values), []).append(row)
         start = time.perf_counter()
         if built == 0:
-            server.store_sensitive(encrypted, scheme, assignment)
+            server.store_sensitive(slices, scheme)
         else:
-            server.append_sensitive(encrypted, assignment)
+            server.append_sensitive(slices)
         elapsed += time.perf_counter() - start
         built += take
-    del chunk, encrypted, assignment
+    del chunk, encrypted, slices
     return {
         "server": server,
         "scheme": scheme,

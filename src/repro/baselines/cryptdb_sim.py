@@ -42,7 +42,7 @@ class DeterministicStoreBaseline:
 
     def setup(self) -> "DeterministicStoreBaseline":
         encrypted = self.scheme.encrypt_rows(list(self.relation.rows), self.attribute)
-        self.cloud.store_sensitive(encrypted, self.scheme)
+        self.cloud.store_sensitive({None: encrypted}, self.scheme)
         self._outsourced = True
         return self
 

@@ -57,7 +57,7 @@ class FullEncryptionBaseline:
     def setup(self) -> "FullEncryptionBaseline":
         """Encrypt the whole relation and outsource it."""
         encrypted = self.scheme.encrypt_rows(list(self.relation.rows), self.attribute)
-        self.cloud.store_sensitive(encrypted, self.scheme)
+        self.cloud.store_sensitive({None: encrypted}, self.scheme)
         self._outsourced = True
         return self
 

@@ -41,16 +41,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cloud.multi_cloud import MultiCloud, ShardRouter
+from repro.cloud.storage import slice_rows, storage_order
 from repro.exceptions import (
     CloudError,
     FleetDegradedError,
     SecurityViolation,
 )
-
-
-def _bin_order(bin_index: Optional[int]) -> Tuple[int, int]:
-    """Sort key placing the unassigned pseudo-bin (``None``) first."""
-    return (0, 0) if bin_index is None else (1, bin_index)
 
 
 @dataclass(frozen=True)
@@ -256,13 +252,14 @@ class FleetLifecycleManager:
             if stray:
                 raise SecurityViolation(
                     f"member {index} stores bin slices "
-                    f"{sorted(stray, key=_bin_order)} outside its token "
+                    f"{storage_order(stray)} outside its token "
                     "chains — migration left a slice behind"
                 )
             for bin_index in stored:
                 holders.setdefault(bin_index, set()).add(index)
         expected = router.replication_factor
-        for bin_index, members in sorted(holders.items(), key=lambda kv: _bin_order(kv[0])):
+        for bin_index in storage_order(holders):
+            members = holders[bin_index]
             if len(members) != expected:
                 raise FleetDegradedError(
                     f"bin {bin_index!r} is stored on {len(members)} members "
@@ -281,7 +278,7 @@ class FleetLifecycleManager:
             )
         server = self.fleet.servers[index]
         server.store_non_sensitive(deployment.non_sensitive)
-        server.store_sensitive([], deployment.scheme)
+        server.store_sensitive({}, deployment.scheme)
         server.build_index(deployment.attribute)
 
     def _migrate_to(
@@ -307,7 +304,7 @@ class FleetLifecycleManager:
             index: set(fleet.servers[index].stored_sensitive_bins())
             for index in participants
         }
-        all_bins = sorted(set().union(*stored.values()) if stored else (), key=_bin_order)
+        all_bins = storage_order(set().union(*stored.values()))
         # source → target → bins, and member → bins to drop
         copy_plan: Dict[int, Dict[int, List[Optional[int]]]] = {}
         drop_plan: Dict[int, List[Optional[int]]] = {}
@@ -354,37 +351,25 @@ class FleetLifecycleManager:
         rows_copied = 0
         # all slice reads happen up front: a source may also be dropping
         # bins, and a departing member may be released right after
-        fetched: Dict[int, Tuple[list, Dict[int, int]]] = {}
-        for source in sorted(copy_plan):
-            union_bins = sorted(
-                {b for bins in copy_plan[source].values() for b in bins},
-                key=_bin_order,
+        fetched = {
+            source: fleet.servers[source].sensitive_slice(
+                storage_order({b for bins in copy_plan[source].values() for b in bins})
             )
-            fetched[source] = fleet.servers[source].sensitive_slice(union_bins)
+            for source in sorted(copy_plan)
+        }
         for source in sorted(copy_plan):
-            rows, assignment = fetched[source]
+            slices = fetched[source]
             for target in sorted(copy_plan[source]):
-                wanted = set(copy_plan[source][target])
-                slice_rows = [
-                    row for row in rows if assignment.get(row.rid) in wanted
-                ]
-                slice_assignment = {
-                    rid: bin_index
-                    for rid, bin_index in assignment.items()
-                    if bin_index in wanted
-                }
-                fleet.servers[target].receive_migrated_slice(
-                    slice_rows, bin_assignment=slice_assignment or None
-                )
-                copies.append(
-                    (source, target, tuple(sorted(wanted, key=_bin_order)))
-                )
-                rows_copied += len(slice_rows)
+                wanted = tuple(storage_order(set(copy_plan[source][target])))
+                moved = {b: slices[b] for b in wanted if b in slices}
+                fleet.servers[target].receive_migrated_slice(moved)
+                copies.append((source, target, wanted))
+                rows_copied += slice_rows(moved)
 
         drops: List[Tuple[int, Tuple[Optional[int], ...]]] = []
         rows_dropped = 0
         for member in sorted(drop_plan):
-            bins = sorted(set(drop_plan[member]), key=_bin_order)
+            bins = storage_order(set(drop_plan[member]))
             rows_dropped += fleet.servers[member].drop_sensitive_bins(bins)
             drops.append((member, tuple(bins)))
 

@@ -9,19 +9,12 @@ of that architecture:
 * :class:`ShardRouter` — the partition-aware placement function that assigns
   QB bins to members and routes request halves to them.
 
-Placement policies
-------------------
-Sensitive bins are assigned to members by one of two deterministic policies
-(see :data:`repro.data.partition.SHARD_POLICIES`):
-
-``hash``
-    ``crc32(bin) % count`` — placement of a bin is independent of every
-    other bin, so layouts that grow (incremental re-binning) never move
-    existing bins.
-``range``
-    contiguous near-even ranges of bin indexes — the classic choice when
-    consecutive bins should stay co-resident (e.g. to serve range extensions
-    from one member).
+Placement
+---------
+Sensitive bin ``b`` has its primary on member ``crc32(b) % count``
+(:func:`repro.data.partition.hash_shard_assignment`): placement of a bin is
+independent of every other bin, so layouts that grow (incremental
+re-binning) never move existing bins.
 
 At outsourcing time every member receives the cleartext non-sensitive
 relation (it is public) but only the encrypted rows of the sensitive bins the
@@ -42,7 +35,7 @@ segments *per sensitive bin* ``s`` with primary member ``p``:
   ``s``'s encrypted slice (primary or replica);
 * the **cleartext segment** ``{p+k, ..., p+count-1}`` (mod count) — the only
   members ever serving the cleartext half of a request anchored at ``s``;
-  the policy picks ``p + k + policy(ns_bin) % (count - k)`` and failover
+  the router picks ``p + k + crc32(ns_bin) % (count - k)`` and failover
   walks the rest of the segment.
 
 The two segments are disjoint by construction, so *no placement the fleet
@@ -120,7 +113,6 @@ from typing import (
     Dict,
     FrozenSet,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -129,9 +121,10 @@ from typing import (
 
 from repro.cloud.process_member import ProcessMemberProxy
 from repro.cloud.server import BatchRequest, CloudServer, QueryResponse
+from repro.cloud.storage import SliceMap
 from repro.crypto.base import EncryptedRow, EncryptedSearchScheme
 from repro.data.partition import (
-    SHARD_POLICIES,
+    hash_shard_assignment,
     rendezvous_order,
     replica_chain,
     stable_item_hash,
@@ -199,8 +192,6 @@ class ShardRouter:
         segment of every bin takes ``replication_factor`` members and the
         non-collusion guarantee needs at least one member left over for the
         cleartext half.
-    policy:
-        ``"hash"`` or ``"range"`` — see the module docstring.
     replication_factor:
         How many members hold each sensitive bin's slice (primary included).
         ``1`` (the default) reproduces PR 2's unreplicated placement exactly;
@@ -231,7 +222,6 @@ class ShardRouter:
         num_sensitive_bins: int,
         num_non_sensitive_bins: int,
         num_shards: int,
-        policy: str = "hash",
         replication_factor: int = 1,
         live_members: Optional[Sequence[int]] = None,
     ):
@@ -251,17 +241,9 @@ class ShardRouter:
                 "members per bin plus one member left over for the cleartext "
                 f"half (got {num_shards})"
             )
-        try:
-            assign = SHARD_POLICIES[policy]
-        except KeyError:
-            raise CloudError(
-                f"unknown shard policy {policy!r}; choose from "
-                f"{sorted(SHARD_POLICIES)}"
-            ) from None
         self.num_sensitive_bins = num_sensitive_bins
         self.num_non_sensitive_bins = num_non_sensitive_bins
         self.num_shards = num_shards
-        self.policy = policy
         self.replication_factor = replication_factor
         if live_members is None:
             self.live_members = frozenset(range(num_shards))
@@ -280,16 +262,16 @@ class ShardRouter:
                     "replication factor"
                 )
         self._full_membership = len(self.live_members) == num_shards
-        self._sensitive_assignment: Dict[object, int] = assign(
+        self._sensitive_assignment: Dict[object, int] = hash_shard_assignment(
             range(num_sensitive_bins), num_shards
         )
         # The cleartext half is placed by an *offset into the cleartext
         # segment* of the anchoring sensitive member, never by an absolute
         # shard, so it can collide neither with the sensitive half nor with
         # any of its replicas, no matter which member owns the bin.  The raw
-        # policy value is kept (not the precomputed offset) so failover can
-        # walk the rest of the segment deterministically from it.
-        self._non_sensitive_raw: Dict[object, int] = assign(
+        # hash placement is kept (not the precomputed offset) so failover
+        # can walk the rest of the segment deterministically from it.
+        self._non_sensitive_raw: Dict[object, int] = hash_shard_assignment(
             range(num_non_sensitive_bins), num_shards
         )
 
@@ -338,7 +320,7 @@ class ShardRouter:
         All candidates lie in the anchor's cleartext segment (the live
         members minus the anchor's live token chain), so every choice —
         preferred or failover — is guaranteed disjoint from the bin's
-        primary *and* replicas.  The first candidate is the static policy
+        primary *and* replicas.  The first candidate is the static hash
         pick when it is eligible (healthy placement never moves); the rest
         are ordered by rendezvous hash per bin, so a failed member's
         cleartext traffic spreads over *all* eligible survivors instead of
@@ -413,7 +395,7 @@ class ShardRouter:
     ) -> "ShardRouter":
         """The router for the same layout on a different fleet size.
 
-        Pure function of (bin counts, policy, count, replication factor,
+        Pure function of (bin counts, count, replication factor,
         membership): rebalancing to ``k`` servers and back reproduces the
         original assignment — replica chains included — exactly.  The
         replication factor is preserved unless explicitly overridden;
@@ -425,7 +407,6 @@ class ShardRouter:
             self.num_sensitive_bins,
             self.num_non_sensitive_bins,
             num_shards,
-            policy=self.policy,
             replication_factor=(
                 self.replication_factor
                 if replication_factor is None
@@ -448,7 +429,6 @@ class ShardRouter:
             self.num_sensitive_bins,
             self.num_non_sensitive_bins,
             self.num_shards,
-            policy=self.policy,
             replication_factor=self.replication_factor,
             live_members=live_members,
         )
@@ -681,21 +661,20 @@ class MultiCloud:
         self,
         attribute: str,
         non_sensitive: Relation,
-        encrypted_rows: Sequence[EncryptedRow],
+        slices: SliceMap,
         scheme: EncryptedSearchScheme,
-        bin_assignment: Mapping[int, int],
         router: ShardRouter,
     ) -> None:
         """Shard the encrypted relation across members by sensitive bin.
 
         Every member receives the public cleartext relation (with a hash
-        index over ``attribute``) and exactly the ciphertexts of the bins the
+        index over ``attribute``) and exactly the slices of the bins the
         router assigned to it — as primary or replica: under
         ``router.replication_factor = k`` each bin's whole slice (real and
         fake tuples alike) is stored identically on all ``k`` members of the
         bin's token segment, so any of them can serve a retrieval
-        bit-identically.  ``bin_assignment`` maps rid → sensitive bin index
-        for every row, fakes included.  Rows the owner did not place (no
+        bit-identically.  ``slices`` maps each sensitive bin to its
+        ciphertexts, fakes included.  Rows under ``None`` (stored without a
         bin) land on member 0's replica chain so no ciphertext is ever
         dropped, mirroring where their requests anchor.
         """
@@ -704,16 +683,13 @@ class MultiCloud:
                 f"router was built for {router.num_shards} shards, fleet has "
                 f"{len(self.servers)}"
             )
-        per_server_rows, per_server_bins = self._replicated_row_groups(
-            encrypted_rows, bin_assignment, router
-        )
-        for index, (server, rows, bins) in enumerate(
-            zip(self.servers, per_server_rows, per_server_bins)
+        for index, (server, member_slices) in enumerate(
+            zip(self.servers, self._member_slices(slices, router))
         ):
             if index in self.departed_members:
                 continue
             server.store_non_sensitive(non_sensitive)
-            server.store_sensitive(rows, scheme, bin_assignment=bins)
+            server.store_sensitive(member_slices, scheme)
             server.build_index(attribute)
         # Retained so membership changes can initialise fresh members
         # (cleartext relation + scheme + index attribute) without a full
@@ -722,34 +698,20 @@ class MultiCloud:
             attribute=attribute, non_sensitive=non_sensitive, scheme=scheme
         )
 
-    def _replicated_row_groups(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        bin_assignment: Mapping[int, int],
-        router: ShardRouter,
-    ) -> Tuple[List[List[EncryptedRow]], List[Dict[int, int]]]:
-        """Group rows per member, replicating each bin's slice on its chain."""
-        per_server_rows: List[List[EncryptedRow]] = [[] for _ in self.servers]
-        per_server_bins: List[Dict[int, int]] = [{} for _ in self.servers]
-        chain_by_bin: Dict[Optional[int], Tuple[int, ...]] = {}
-        for row in encrypted_rows:
-            bin_index = bin_assignment.get(row.rid)
-            chain = chain_by_bin.get(bin_index)
-            if chain is None:
-                chain = router.replicas_of_sensitive(bin_index)
-                chain_by_bin[bin_index] = chain
-            for shard in chain:
-                per_server_rows[shard].append(row)
-                if bin_index is not None:
-                    per_server_bins[shard][row.rid] = bin_index
-        return per_server_rows, per_server_bins
+    def _member_slices(
+        self, slices: SliceMap, router: ShardRouter
+    ) -> List[Dict[Optional[int], Sequence[EncryptedRow]]]:
+        """Each member's slice map: every bin's slice goes, as one shared
+        list, to each member of the bin's replica chain."""
+        per_member: List[Dict[Optional[int], Sequence[EncryptedRow]]] = [
+            {} for _ in self.servers
+        ]
+        for bin_index, rows in slices.items():
+            for member in router.replicas_of_sensitive(bin_index):
+                per_member[member][bin_index] = rows
+        return per_member
 
-    def append_sensitive_sharded(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        bin_assignment: Mapping[int, int],
-        router: ShardRouter,
-    ) -> None:
+    def append_sensitive_sharded(self, slices: SliceMap, router: ShardRouter) -> None:
         """Route freshly inserted ciphertexts to the members holding their bins.
 
         Replica-consistent: an insert reaches *every* member of its bin's
@@ -757,14 +719,11 @@ class MultiCloud:
         diverge and a failover performed at any point between inserts
         returns exactly what the primary would have.
         """
-        per_server_rows, per_server_bins = self._replicated_row_groups(
-            encrypted_rows, bin_assignment, router
-        )
-        for index, (server, rows, bins) in enumerate(
-            zip(self.servers, per_server_rows, per_server_bins)
+        for index, (server, member_slices) in enumerate(
+            zip(self.servers, self._member_slices(slices, router))
         ):
-            if rows and index not in self.departed_members:
-                server.append_sensitive(rows, bin_assignment=bins)
+            if member_slices and index not in self.departed_members:
+                server.append_sensitive(member_slices)
 
     def register_non_sensitive_row(self, row: Row) -> None:
         """Account for a cleartext row inserted into the shared relation."""

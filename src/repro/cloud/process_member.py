@@ -82,6 +82,7 @@ from repro.cloud.server import (
     ObservationSnapshot,
     QueryResponse,
 )
+from repro.cloud.storage import slice_rows
 from repro.crypto.base import EncryptedSearchScheme
 from repro.data.relation import Row
 from repro.exceptions import MemberFailure, MemberTimeout, ProcessMemberError
@@ -448,22 +449,19 @@ class ProcessMemberProxy:
     def store_non_sensitive(self, relation) -> None:
         self._call("store_non_sensitive", relation)
 
-    def store_sensitive(self, encrypted_rows, scheme, bin_assignment=None) -> None:
-        encrypted_rows = list(encrypted_rows)
-        self._call("store_sensitive", encrypted_rows, scheme, bin_assignment)
+    def store_sensitive(self, slices, scheme) -> None:
+        self._call("store_sensitive", slices, scheme)
         # mirrors update only after the worker actually stored the rows
         self._scheme = scheme
-        self._encrypted_row_count = len(encrypted_rows)
+        self._encrypted_row_count = slice_rows(slices)
 
-    def append_sensitive(self, encrypted_rows, bin_assignment=None) -> None:
-        encrypted_rows = list(encrypted_rows)
-        self._call("append_sensitive", encrypted_rows, bin_assignment)
-        self._encrypted_row_count += len(encrypted_rows)
+    def append_sensitive(self, slices) -> None:
+        self._call("append_sensitive", slices)
+        self._encrypted_row_count += slice_rows(slices)
 
-    def receive_migrated_slice(self, encrypted_rows, bin_assignment=None) -> None:
-        encrypted_rows = list(encrypted_rows)
-        self._call("receive_migrated_slice", encrypted_rows, bin_assignment)
-        self._encrypted_row_count += len(encrypted_rows)
+    def receive_migrated_slice(self, slices) -> None:
+        self._call("receive_migrated_slice", slices)
+        self._encrypted_row_count += slice_rows(slices)
 
     def drop_sensitive_bins(self, bins) -> int:
         dropped = self._call("drop_sensitive_bins", list(bins))

@@ -8,12 +8,12 @@ honest-but-curious, faithfully records an :class:`AdversarialView` for every
 request it serves.
 
 The sensitive half is always answered by ``scheme.search``; only its input
-differs.  The owner sends the sensitive bin assignment with the ciphertexts,
-and the storage backend fixes each row's bin as it stores it, so a request
-that names its sensitive bin searches exactly that bin's slice.  A request
-that names no bin searches every stored row: the linear scan, which is the
-reference semantics the slice must reproduce, and the only read of rows
-stored without a bin.
+differs.  The owner ships the ciphertexts grouped by sensitive bin, and the
+storage backend keeps each bin's rows as one slice, so a request that names
+its sensitive bin searches exactly that bin's slice.  A request that names
+no bin searches every stored row: the linear scan, which is the reference
+semantics the slice must reproduce, and the only read of rows stored
+without a bin.
 
 Interned retrievals
 -------------------
@@ -53,12 +53,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.view import AdversarialView, ViewLog, ViewTemplate
 from repro.cloud.indexes import HashIndex
 from repro.cloud.network import NetworkModel, TransferTotals
-from repro.cloud.storage import StorageBackend, make_storage_backend
+from repro.cloud.storage import (
+    SliceMap,
+    StorageBackend,
+    make_storage_backend,
+    slice_rows,
+)
 from repro.crypto.base import EncryptedRow, EncryptedSearchScheme, SearchToken
 from repro.data.relation import Relation, Row
 from repro.exceptions import CloudError
@@ -331,12 +336,6 @@ class CloudServer:
         #: helpers nest locked calls.
         self._lock = threading.RLock()
 
-    # -- storage introspection (tests read this) -------------------------------------
-    @property
-    def _bin_store(self) -> Dict[int, List[EncryptedRow]]:
-        """The bin-addressed store as a dict view."""
-        return self.storage.bin_store_view()
-
     def _invalidate_retrievals(self) -> None:
         """Drop interned retrievals after any stored-data mutation."""
         self._retrievals.clear()
@@ -364,47 +363,34 @@ class CloudServer:
             self._invalidate_retrievals()
             self.network.record("upload", len(relation))
 
-    def store_sensitive(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        scheme: EncryptedSearchScheme,
-        bin_assignment: Optional[Mapping[int, int]] = None,
-    ) -> None:
-        """Receive the encrypted sensitive rows and the scheme's cloud logic.
+    def store_sensitive(self, slices: SliceMap, scheme: EncryptedSearchScheme) -> None:
+        """Receive the encrypted sensitive slices and the scheme's cloud logic.
 
         Only the scheme's *cloud-side* behaviour (``search``) is exercised by
         the server; the owner keeps the keys.
 
-        ``bin_assignment`` (rid → sensitive bin index) is what a Query
-        Binning owner sends along: it lets the cloud group ciphertexts by
-        bin so each bin retrieval scans one slice instead of the whole
-        relation.  The grouping reveals nothing new — bin membership is
-        exactly what the adversary reconstructs from repeated retrievals.
-        A row it does not place joins no bin, so only requests that name no
-        bin read it.
+        ``slices`` maps each sensitive bin to its ciphertexts, which is how
+        a Query Binning owner ships them: each bin retrieval then scans one
+        slice instead of the whole relation.  The grouping reveals nothing
+        new — bin membership is exactly what the adversary reconstructs from
+        repeated retrievals.  Rows under ``None`` join no bin, so only
+        requests that name no bin read them.
         """
-        encrypted_rows = list(encrypted_rows)
         with self._lock:
             self._scheme = scheme
             self._invalidate_retrievals()
-            self.storage.reset(encrypted_rows, bin_assignment)
-            self.network.record("upload", len(encrypted_rows))
+            self.storage.reset(slices)
+            self.network.record("upload", slice_rows(slices))
 
-    def append_sensitive(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]] = None,
-    ) -> None:
-        """Receive additional encrypted rows (inserts, fake-tuple padding)."""
+    def append_sensitive(self, slices: SliceMap) -> None:
+        """Receive additional encrypted rows (inserts), each bin's rows
+        appended to the end of its slice."""
         with self._lock:
-            self._append_rows(encrypted_rows, bin_assignment)
-            self.network.record("upload", len(encrypted_rows))
+            self._invalidate_retrievals()
+            self.storage.append(slices)
+            self.network.record("upload", slice_rows(slices))
 
-    def receive_migrated_slice(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]] = None,
-    ) -> None:
+    def receive_migrated_slice(self, slices: SliceMap) -> None:
         """Install bin slices copied over from another member.
 
         Storage semantics are exactly :meth:`append_sensitive`; the transfer
@@ -413,16 +399,9 @@ class CloudServer:
         re-replication traffic.
         """
         with self._lock:
-            self._append_rows(encrypted_rows, bin_assignment)
-            self.network.record("migration-in", len(encrypted_rows))
-
-    def _append_rows(
-        self,
-        encrypted_rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        self._invalidate_retrievals()
-        self.storage.append(encrypted_rows, bin_assignment)
+            self._invalidate_retrievals()
+            self.storage.append(slices)
+            self.network.record("migration-in", slice_rows(slices))
 
     def register_non_sensitive_row(self, row: Row) -> None:
         """Account for a cleartext row already present in the stored relation.
@@ -464,8 +443,8 @@ class CloudServer:
 
     def sensitive_slice(
         self, bins: Sequence[Optional[int]]
-    ) -> Tuple[List[EncryptedRow], Dict[int, int]]:
-        """The stored rows of ``bins`` (storage order) plus their bin map.
+    ) -> Dict[Optional[int], List[EncryptedRow]]:
+        """The stored slices of ``bins``, as a slice map in storage order.
 
         Storage order within each bin is identical on every replica (pinned
         by the replicated-storage tests), so a slice read from *any* chain
@@ -474,9 +453,9 @@ class CloudServer:
         not a Python row loop.
         """
         with self._lock:
-            rows, assignment = self.storage.slice_bins(bins)
-            self.network.record("migration-out", len(rows))
-            return rows, assignment
+            slices = self.storage.slice_bins(bins)
+            self.network.record("migration-out", slice_rows(slices))
+            return slices
 
     def drop_sensitive_bins(self, bins: Sequence[Optional[int]]) -> int:
         """Remove the slices of ``bins`` this member no longer owns.

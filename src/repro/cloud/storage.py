@@ -1,34 +1,31 @@
 """Pluggable storage engines for the cloud server's encrypted store.
 
 A :class:`~repro.cloud.server.CloudServer` keeps one sensitive-side store:
-the encrypted relation in storage order, each row in the sensitive bin it
-was stored with (the *bin-addressed store*).  This module puts it behind
-one :class:`StorageBackend` interface so a member can keep it either in
-process memory (:class:`MemoryBackend`) or in a per-member SQLite file
+the encrypted relation, each row in the slice of the sensitive bin it was
+stored with.  This module puts it behind one :class:`StorageBackend`
+interface so a member can keep it either in process memory
+(:class:`MemoryBackend`) or in a per-member SQLite file
 (:class:`SQLiteBackend`) whose size is bounded by disk, not RAM.
 
 Placement
 ---------
-A row's bin is fixed when the row is stored: every reset, append and
-migrated slice places its own rows by the bin assignment that arrives with
-them, and nothing moves a row afterwards.  A row with a bin joins that
-bin's slice; a row without one is kept for requests that name no bin (the
-linear scan over every stored row).  A bin retrieval reads exactly its
-bin's slice.  A store outsourced without an assignment (the baselines)
-therefore has only unplaced rows, and its bin slices are empty.
+Rows travel as a *slice map* (:data:`SliceMap`): each bin maps to its rows.
+Every reset, append and migrated slice adds each bin's rows to that bin's
+slice, and nothing moves a row afterwards.  The ``None`` key holds rows
+stored without a bin (only the baselines and the naive engine send them);
+requests that name no bin read them through the linear scan over every
+stored row.  A bin retrieval reads exactly its bin's slice.
 
 Parity contract
 ---------------
-Both backends must be *observably identical*: the rows a full read or a bin
-read returns and their order are pinned by the cross-backend parity suite
-(``tests/test_storage.py``).  The ordering invariants that make this work:
-
-* storage order is append order.  SQLite keeps a monotonically increasing
-  ``position`` rowid; after a :meth:`StorageBackend.drop_bins` the surviving
-  positions are sparse where the memory backend compacts, but the *relative*
-  order — the only thing schemes observe — is identical.
-* a bin read serves the bin's slice in append order, exactly as the
-  dict-of-lists store does.
+Both backends must be *observably identical*: the rows a full read, a bin
+read or a slice read returns and their order are pinned by the
+cross-backend parity suite (``tests/test_storage.py``).  Storage order is
+defined once, by :func:`storage_order`: the rows without a bin first, then
+the bins in ascending order, each bin's rows in append order.  SQLite keeps
+a monotonically increasing ``position`` rowid and sorts by
+``(placed_bin, position)``; after a :meth:`StorageBackend.drop_bins` the
+surviving positions are sparse, but the order is the same.
 
 Durability and transactions
 ---------------------------
@@ -46,14 +43,24 @@ of a Python row loop, and a drop is one keyed ``DELETE``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sqlite3
 import tempfile
 import threading
 import weakref
-from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.crypto.base import EncryptedRow
 from repro.exceptions import CloudError
@@ -61,34 +68,39 @@ from repro.exceptions import CloudError
 #: accepted ``storage_backend=`` specifications
 STORAGE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
+#: bin → its rows in storage order; ``None`` keys the rows without a bin
+SliceMap = Mapping[Optional[int], Sequence[EncryptedRow]]
+
+
+def storage_order(bins: Iterable[Optional[int]]) -> List[Optional[int]]:
+    """``bins`` in storage order: ``None`` first, then ascending."""
+    return sorted(bins, key=lambda bin_index: (bin_index is not None, bin_index))
+
+
+def slice_rows(slices: SliceMap) -> int:
+    """The number of rows a slice map carries."""
+    return sum(map(len, slices.values()))
+
 
 class StorageBackend:
     """Interface between a :class:`CloudServer` and its sensitive store.
 
     The server owns the *observable* behaviour — retrieval interning, view
     logs, network charging, invalidation — and delegates every touch of the
-    encrypted relation and its bin-addressed grouping to one of these.
+    encrypted slices to one of these.  A backend copies the rows it is
+    handed: one slice list may be shared by every member of a replica chain.
     """
 
     #: short name used in diagnostics and benchmark labels
     kind: str = "abstract"
 
     # -- outsourcing --------------------------------------------------------------
-    def reset(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        """Replace all stored state with ``rows`` (a fresh outsourcing),
-        placed by ``bin_assignment``."""
+    def reset(self, slices: SliceMap) -> None:
+        """Replace all stored state with ``slices`` (a fresh outsourcing)."""
         raise NotImplementedError
 
-    def append(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        """Append ``rows`` in storage order, placed by ``bin_assignment``."""
+    def append(self, slices: SliceMap) -> None:
+        """Append each bin's rows to the end of its slice."""
         raise NotImplementedError
 
     # -- reads --------------------------------------------------------------------
@@ -109,18 +121,13 @@ class StorageBackend:
 
     # -- slice migration ----------------------------------------------------------
     def slice_bins(
-        self, bins: Sequence[Optional[int]]
-    ) -> Tuple[List[EncryptedRow], Dict[int, int]]:
-        """The stored rows of ``bins`` (storage order) plus their bin map."""
+        self, bins: Iterable[Optional[int]]
+    ) -> Dict[Optional[int], List[EncryptedRow]]:
+        """The stored slices of ``bins``, keyed in storage order."""
         raise NotImplementedError
 
-    def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
+    def drop_bins(self, bins: Iterable[Optional[int]]) -> int:
         """Remove the slices of ``bins``; returns the number of rows dropped."""
-        raise NotImplementedError
-
-    # -- introspection ------------------------------------------------------------
-    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
-        """The bin-addressed store as a dict (introspection/tests only)."""
         raise NotImplementedError
 
     # -- lifecycle ----------------------------------------------------------------
@@ -134,41 +141,34 @@ class StorageBackend:
 
 
 class MemoryBackend(StorageBackend):
-    """In-process storage: a row list and a dict of bin slices."""
+    """In-process storage: a dict of bin slices, each row in one list."""
 
     kind = "memory"
 
     def __init__(self) -> None:
-        self._rows: List[EncryptedRow] = []
-        #: bin → its rows in storage order; ``None`` keys the unplaced rows
-        self._slices: Dict[Optional[int], List[EncryptedRow]] = defaultdict(list)
+        self._slices: Dict[Optional[int], List[EncryptedRow]] = {}
+        self._row_count = 0
 
     # -- outsourcing --------------------------------------------------------------
-    def reset(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        self._rows = []
-        self._slices = defaultdict(list)
-        self.append(rows, bin_assignment)
+    def reset(self, slices: SliceMap) -> None:
+        self._slices = {}
+        self._row_count = 0
+        self.append(slices)
 
-    def append(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        self._rows.extend(rows)
-        place, slices = (bin_assignment or {}).get, self._slices
-        for row in rows:
-            slices[place(row.rid)].append(row)
+    def append(self, slices: SliceMap) -> None:
+        stored = self._slices
+        for bin_index, rows in slices.items():
+            if rows:
+                stored.setdefault(bin_index, []).extend(rows)
+                self._row_count += len(rows)
 
     # -- reads --------------------------------------------------------------------
     def row_count(self) -> int:
-        return len(self._rows)
+        return self._row_count
 
-    def all_rows(self) -> Sequence[EncryptedRow]:
-        return self._rows
+    def all_rows(self) -> List[EncryptedRow]:
+        slices = self._slices
+        return [row for bin_index in storage_order(slices) for row in slices[bin_index]]
 
     def bin_counts(self) -> Dict[Optional[int], int]:
         return {bin_index: len(rows) for bin_index, rows in self._slices.items()}
@@ -177,45 +177,19 @@ class MemoryBackend(StorageBackend):
         return self._slices.get(bin_index, ())
 
     # -- slice migration ----------------------------------------------------------
-    def _picked(self, bins: Sequence[Optional[int]]) -> List[Optional[int]]:
-        """The stored bins among ``bins``."""
-        return [bin_index for bin_index in set(bins) if bin_index in self._slices]
-
     def slice_bins(
-        self, bins: Sequence[Optional[int]]
-    ) -> Tuple[List[EncryptedRow], Dict[int, int]]:
-        picked = self._picked(bins)
-        # slices hold the very objects of ``_rows``; identity recovers their
-        # storage order across bins
-        members = {id(row) for bin_index in picked for row in self._slices[bin_index]}
-        rows = [row for row in self._rows if id(row) in members]
-        assignment = {
-            row.rid: bin_index
-            for bin_index in picked
-            if bin_index is not None
-            for row in self._slices[bin_index]
-        }
-        return rows, assignment
-
-    def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
-        gone = {
-            id(row)
-            for bin_index in self._picked(bins)
-            for row in self._slices.pop(bin_index)
-        }
-        if not gone:
-            return 0
-        count = len(self._rows)
-        self._rows = [row for row in self._rows if id(row) not in gone]
-        return count - len(self._rows)
-
-    # -- introspection ------------------------------------------------------------
-    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
+        self, bins: Iterable[Optional[int]]
+    ) -> Dict[Optional[int], List[EncryptedRow]]:
+        slices = self._slices
         return {
-            bin_index: rows
-            for bin_index, rows in self._slices.items()
-            if bin_index is not None
+            bin_index: list(slices[bin_index])
+            for bin_index in storage_order(set(bins).intersection(slices))
         }
+
+    def drop_bins(self, bins: Iterable[Optional[int]]) -> int:
+        dropped = sum(len(self._slices.pop(bin_index, ())) for bin_index in set(bins))
+        self._row_count -= dropped
+        return dropped
 
 
 def _cleanup_sqlite(connection: sqlite3.Connection, path: Optional[str]) -> None:
@@ -238,10 +212,12 @@ class SQLiteBackend(StorageBackend):
     Schema:
 
     ``rows(position, rid, ciphertext, search_tag, is_fake, placed_bin)``
-        the encrypted relation in storage order.  ``placed_bin`` is the bin
-        the row was stored with (``NULL`` = none), indexed by
-        ``rows_placed_bin``: the bin-addressed store, mirroring the memory
-        backend's slices exactly.
+        the encrypted relation.  ``position`` is the append order and
+        ``placed_bin`` the bin the row was stored with (``NULL`` = none).
+        The ``rows_placed_bin`` index keeps ``(placed_bin, position)``
+        order, which is storage order (``NULL`` sorts first), so every
+        full, bin and slice read walks it: the memory backend's slices,
+        exactly.
     """
 
     kind = "sqlite"
@@ -326,42 +302,35 @@ class SQLiteBackend(StorageBackend):
                 self._savepoint_depth -= 1
 
     # -- outsourcing --------------------------------------------------------------
-    def reset(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
+    def reset(self, slices: SliceMap) -> None:
         with self.transaction():
             self._connection.execute("DELETE FROM rows")
             self._row_count = 0
             self._next_position = 0
-            self.append(rows, bin_assignment)
+            self.append(slices)
 
-    def append(
-        self,
-        rows: Sequence[EncryptedRow],
-        bin_assignment: Optional[Mapping[int, int]],
-    ) -> None:
-        place = (bin_assignment or {}).get
+    def append(self, slices: SliceMap) -> None:
+        count = slice_rows(slices)
         with self.transaction():
-            start = self._next_position
+            positions = itertools.count(self._next_position)
             self._connection.executemany(
                 "INSERT INTO rows(position, rid, ciphertext, search_tag, is_fake,"
                 " placed_bin) VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     (
-                        start + offset,
+                        next(positions),
                         row.rid,
                         row.ciphertext,
                         row.search_tag,
                         int(row.is_fake),
-                        place(row.rid),
+                        bin_index,
                     )
-                    for offset, row in enumerate(rows)
+                    for bin_index, rows in slices.items()
+                    for row in rows
                 ),
             )
-            self._row_count += len(rows)
-            self._next_position = start + len(rows)
+            self._row_count += count
+            self._next_position += count
 
     @staticmethod
     def _make_row(rid: int, ciphertext, search_tag, is_fake: int) -> EncryptedRow:
@@ -383,7 +352,7 @@ class SQLiteBackend(StorageBackend):
                 make(*fields)
                 for fields in self._connection.execute(
                     "SELECT rid, ciphertext, search_tag, is_fake FROM rows"
-                    " ORDER BY position"
+                    " ORDER BY placed_bin, position"
                 )
             ]
 
@@ -410,7 +379,7 @@ class SQLiteBackend(StorageBackend):
 
     # -- slice migration ----------------------------------------------------------
     @staticmethod
-    def _slice_condition(bins: Sequence[Optional[int]]) -> Tuple[str, List[int]]:
+    def _slice_condition(bins: Iterable[Optional[int]]) -> Tuple[str, List[int]]:
         """WHERE clause selecting the rows placed in ``bins``."""
         wanted = set(bins)
         real = sorted(b for b in wanted if b is not None)
@@ -420,41 +389,10 @@ class SQLiteBackend(StorageBackend):
         return " OR ".join(clauses) or "0", real
 
     def slice_bins(
-        self, bins: Sequence[Optional[int]]
-    ) -> Tuple[List[EncryptedRow], Dict[int, int]]:
+        self, bins: Iterable[Optional[int]]
+    ) -> Dict[Optional[int], List[EncryptedRow]]:
         condition, params = self._slice_condition(bins)
-        rows: List[EncryptedRow] = []
-        assignment: Dict[int, int] = {}
-        make = self._make_row
-        with self._mutex:
-            for (
-                rid,
-                ciphertext,
-                search_tag,
-                is_fake,
-                bin_index,
-            ) in self._connection.execute(
-                "SELECT rid, ciphertext, search_tag, is_fake, placed_bin FROM rows"
-                f" WHERE {condition} ORDER BY position",
-                params,
-            ):
-                rows.append(make(rid, ciphertext, search_tag, is_fake))
-                if bin_index is not None:
-                    assignment[rid] = bin_index
-        return rows, assignment
-
-    def drop_bins(self, bins: Sequence[Optional[int]]) -> int:
-        condition, params = self._slice_condition(bins)
-        with self._mutex:
-            dropped = self._connection.execute(
-                f"DELETE FROM rows WHERE {condition}", params
-            ).rowcount
-            self._row_count -= dropped
-        return dropped
-
-    # -- introspection ------------------------------------------------------------
-    def bin_store_view(self) -> Dict[int, List[EncryptedRow]]:
-        view: Dict[int, List[EncryptedRow]] = {}
+        slices: Dict[Optional[int], List[EncryptedRow]] = {}
         make = self._make_row
         with self._mutex:
             for (
@@ -465,12 +403,22 @@ class SQLiteBackend(StorageBackend):
                 is_fake,
             ) in self._connection.execute(
                 "SELECT placed_bin, rid, ciphertext, search_tag, is_fake FROM rows"
-                " WHERE placed_bin IS NOT NULL ORDER BY position"
+                f" WHERE {condition} ORDER BY placed_bin, position",
+                params,
             ):
-                view.setdefault(bin_index, []).append(
+                slices.setdefault(bin_index, []).append(
                     make(rid, ciphertext, search_tag, is_fake)
                 )
-        return view
+        return slices
+
+    def drop_bins(self, bins: Iterable[Optional[int]]) -> int:
+        condition, params = self._slice_condition(bins)
+        with self._mutex:
+            dropped = self._connection.execute(
+                f"DELETE FROM rows WHERE {condition}", params
+            ).rowcount
+            self._row_count -= dropped
+        return dropped
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cloud.lifecycle import FleetLifecycleManager
 from repro.cloud.multi_cloud import MultiCloud, ShardRouter
 from repro.cloud.server import BatchRequest, CloudServer, QueryResponse
+from repro.cloud.storage import slice_rows
 from repro.core.binning import create_bins, layout_covers_all_bin_pairs
 from repro.core.bins import BinLayout
 from repro.core.general_binning import create_general_bins
@@ -83,27 +84,24 @@ class _PartitionedEngineBase:
         self._fake_rid_counter = itertools.count(start=-1, step=-1)
 
     # -- owner-side helpers ------------------------------------------------------
-    def _encrypt_sensitive_rows(self) -> List[EncryptedRow]:
-        rows = list(self.partition.sensitive.rows)
+    def _encrypt_sensitive_rows(self) -> Tuple[Sequence[Row], List[EncryptedRow]]:
+        """The sensitive partition's rows and their ciphertexts (one batch)."""
+        rows = self.partition.sensitive.rows
         if not rows:
-            return []
-        return self.scheme.encrypt_rows(rows, self.attribute)
+            return rows, []
+        return rows, self.scheme.encrypt_rows(rows, self.attribute)
 
-    def _make_fake_rows(
-        self, layout: BinLayout
-    ) -> Tuple[List[EncryptedRow], List[int]]:
-        """Create the padding tuples the general case requires.
+    def _make_fake_rows(self, layout: BinLayout) -> Dict[int, List[EncryptedRow]]:
+        """Create the padding tuples the general case requires, bin → fakes.
 
         Each sensitive bin with a deficit receives fake tuples whose searched
         attribute equals one of the bin's values, so retrieving the bin always
         returns the same (padded) number of encrypted rows.  All fake source
-        rows are built first and encrypted in a single batch call; the second
-        return value gives each fake's sensitive bin index (parallel to the
-        first), which places it in the cloud's store.
+        rows are built first and encrypted in a single batch call.
         """
         sources: List[Row] = []
         source_bins: List[int] = []
-        sensitive_rows = list(self.partition.sensitive.rows)
+        sensitive_rows = self.partition.sensitive.rows
         template_by_value: Dict[object, Row] = {}
         for row in sensitive_rows:
             template_by_value.setdefault(row[self.attribute], row)
@@ -123,9 +121,13 @@ class _PartitionedEngineBase:
                     Row(rid=next(self._fake_rid_counter), values=values, sensitive=True)
                 )
                 source_bins.append(bin_.index)
-        if not sources:
-            return [], []
-        return self.scheme.make_fake_rows(self.attribute, sources), source_bins
+        fakes: Dict[int, List[EncryptedRow]] = {}
+        if sources:
+            for bin_index, fake in zip(
+                source_bins, self.scheme.make_fake_rows(self.attribute, sources)
+            ):
+                fakes.setdefault(bin_index, []).append(fake)
+        return fakes
 
     def _decrypt_and_merge(
         self, query: SelectionQuery, response: QueryResponse
@@ -201,10 +203,10 @@ class QueryBinningEngine(_PartitionedEngineBase):
         reproducible benchmarks.
     force_strategy / force_layout:
         Overrides forwarded to the planner (used by the Figure 6c sweep).
-    multi_cloud / shard_policy:
+    multi_cloud:
         Attaching a :class:`MultiCloud` makes ``setup()`` additionally shard
         the encrypted relation across its members (bins assigned by a
-        :class:`ShardRouter` under ``shard_policy``) and unlocks
+        :class:`ShardRouter`) and unlocks
         ``execute_workload(..., placement="sharded")``, which fans request
         halves out to the fleet concurrently.  The single ``cloud`` server
         stays fully populated either way — it is the sequential reference
@@ -232,7 +234,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
         force_strategy: Optional[str] = None,
         force_layout: Optional[Tuple[int, int]] = None,
         multi_cloud: Optional[MultiCloud] = None,
-        shard_policy: str = "hash",
         replication_factor: int = 1,
     ):
         super().__init__(partition, attribute, scheme, cloud)
@@ -242,7 +243,6 @@ class QueryBinningEngine(_PartitionedEngineBase):
             raise ConfigurationError(f"attribute {attribute!r} is not searchable")
         self.add_fake_tuples = add_fake_tuples
         self.multi_cloud = multi_cloud
-        self.shard_policy = shard_policy
         self.replication_factor = replication_factor
         self.shard_router: Optional[ShardRouter] = None
         self._lifecycle: Optional[FleetLifecycleManager] = None
@@ -325,30 +325,25 @@ class QueryBinningEngine(_PartitionedEngineBase):
         self.retriever = BinRetriever(self.layout)
         self._invalidate()
 
-        encrypted = self._encrypt_sensitive_rows()
-        # The bin assignment groups the cloud's store by sensitive bin and
-        # places rows on the shard router's members.
-        locate = self.layout.locate_sensitive
-        bin_assignment: Dict[int, int] = {
-            row.rid: locate(row[self.attribute])[0]
-            for row in self.partition.sensitive.rows
-        }
+        # The ciphertexts travel grouped by sensitive bin: the cloud keeps
+        # each bin's rows as one slice, and the shard router places slices
+        # on the fleet's members.  A slice holds its real rows in partition
+        # order, then its fakes.
+        slices = self._slices_of(*self._encrypt_sensitive_rows())
         if self.add_fake_tuples:
-            fakes, fake_bins = self._make_fake_rows(self.layout)
-            self.fake_rows_outsourced = len(fakes)
-            for fake, bin_index in zip(fakes, fake_bins):
-                bin_assignment[fake.rid] = bin_index
-            encrypted = encrypted + fakes
+            fakes = self._make_fake_rows(self.layout)
+            self.fake_rows_outsourced = slice_rows(fakes)
+            for bin_index, fake_rows in fakes.items():
+                slices.setdefault(bin_index, []).extend(fake_rows)
 
         self.cloud.store_non_sensitive(self.partition.non_sensitive)
-        self.cloud.store_sensitive(encrypted, self.scheme, bin_assignment)
+        self.cloud.store_sensitive(slices, self.scheme)
         self.cloud.build_index(self.attribute)
         if self.multi_cloud is not None:
             self.shard_router = ShardRouter(
                 self.layout.num_sensitive_bins,
                 self.layout.num_non_sensitive_bins,
                 len(self.multi_cloud),
-                policy=self.shard_policy,
                 replication_factor=self.replication_factor,
                 # a fleet that has seen membership churn keeps its departed
                 # slots tombstoned; route (and outsource) around them
@@ -357,13 +352,23 @@ class QueryBinningEngine(_PartitionedEngineBase):
             self.multi_cloud.outsource_sharded(
                 self.attribute,
                 self.partition.non_sensitive,
-                encrypted,
+                slices,
                 self.scheme,
-                bin_assignment,
                 self.shard_router,
             )
         self._outsourced = True
         return self
+
+    def _slices_of(
+        self, rows: Sequence[Row], encrypted: Sequence[EncryptedRow]
+    ) -> Dict[int, List[EncryptedRow]]:
+        """``encrypted`` (parallel to ``rows``) as a slice map: each
+        ciphertext under its row's sensitive bin, in row order."""
+        locate, attribute = self.layout.locate_sensitive, self.attribute
+        slices: Dict[int, List[EncryptedRow]] = {}
+        for row, ciphertext in zip(rows, encrypted):
+            slices.setdefault(locate(row[attribute])[0], []).append(ciphertext)
+        return slices
 
     def fleet_lifecycle(
         self,
@@ -734,12 +739,10 @@ class QueryBinningEngine(_PartitionedEngineBase):
                 self.rebin()
                 return
         sensitive_rows: List[Row] = []
-        bin_assignment: Dict[int, int] = {}
         for row in rows:
             value = row[self.attribute]
             if row.sensitive:
                 sensitive_rows.append(row)
-                bin_assignment[row.rid] = layout.locate_sensitive(value)[0]
                 counts = metadata.sensitive_counts
             else:
                 self.cloud.register_non_sensitive_row(row)
@@ -748,12 +751,12 @@ class QueryBinningEngine(_PartitionedEngineBase):
                 counts = metadata.non_sensitive_counts
             counts[value] = counts.get(value, 0) + 1
         if sensitive_rows:
-            encrypted = self.scheme.encrypt_rows(sensitive_rows, self.attribute)
-            self.cloud.append_sensitive(encrypted, bin_assignment)
+            slices = self._slices_of(
+                sensitive_rows, self.scheme.encrypt_rows(sensitive_rows, self.attribute)
+            )
+            self.cloud.append_sensitive(slices)
             if self.multi_cloud is not None and self.shard_router is not None:
-                self.multi_cloud.append_sensitive_sharded(
-                    encrypted, bin_assignment, self.shard_router
-                )
+                self.multi_cloud.append_sensitive_sharded(slices, self.shard_router)
             # Owner metadata changed once for the whole batch; invalidate
             # the owner memo once to match.
             self._invalidate()
@@ -768,8 +771,8 @@ class QueryBinningEngine(_PartitionedEngineBase):
 
         For a sharded engine a rebin is also a fleet redeployment: the
         engine's ``setup()`` rebuilds the :class:`ShardRouter` as a pure
-        function of (new bin counts, policy, fleet size, replication
-        factor), so primary *and replica* placement of the rebuilt layout is
+        function of (new bin counts, fleet size, replication factor), so
+        primary *and replica* placement of the rebuilt layout is
         deterministic, and every member — replicas included — receives its
         slices from scratch.  Members previously excluded as failed are
         therefore marked recovered (a deployment that re-outsources to a
@@ -789,9 +792,9 @@ class NaivePartitionedEngine(_PartitionedEngineBase):
 
     def setup(self) -> "NaivePartitionedEngine":
         with self._lock:
-            encrypted = self._encrypt_sensitive_rows()
+            _rows, encrypted = self._encrypt_sensitive_rows()
             self.cloud.store_non_sensitive(self.partition.non_sensitive)
-            self.cloud.store_sensitive(encrypted, self.scheme)
+            self.cloud.store_sensitive({None: encrypted}, self.scheme)
             self.cloud.build_index(self.attribute)
             self._outsourced = True
             return self

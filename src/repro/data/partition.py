@@ -28,13 +28,13 @@ from repro.exceptions import PartitioningError, SchemaError
 RowPredicate = Callable[[Row], bool]
 
 
-# -- shard-assignment policies -------------------------------------------------
+# -- shard assignment ----------------------------------------------------------
 #
 # Horizontal sharding (spreading bins across the servers of a
 # :class:`~repro.cloud.multi_cloud.MultiCloud`) needs a deterministic
-# item → shard assignment.  Two policies are provided; both are pure functions
-# of their inputs, so re-running setup — or rebalancing onto a different
-# server count — always reproduces the same placement.
+# item → shard assignment.  The functions below are pure functions of their
+# inputs, so re-running setup — or rebalancing onto a different server count
+# — always reproduces the same placement.
 
 
 def stable_item_hash(item: object) -> int:
@@ -58,37 +58,6 @@ def hash_shard_assignment(
     if num_shards < 1:
         raise PartitioningError(f"need at least one shard, got {num_shards}")
     return {item: stable_item_hash(item) % num_shards for item in items}
-
-
-def range_shard_assignment(
-    items: Sequence[object], num_shards: int
-) -> Dict[object, int]:
-    """Split ``items`` (in the given order) into ``num_shards`` contiguous,
-    near-even ranges.
-
-    The first ``len(items) % num_shards`` ranges take one extra item, which
-    keeps shard loads within one item of each other — the classic range
-    partitioning used when items carry a meaningful order (bin indexes do:
-    consecutive bins were built from consecutive permutation slices).
-    """
-    if num_shards < 1:
-        raise PartitioningError(f"need at least one shard, got {num_shards}")
-    items = list(items)
-    base, remainder = divmod(len(items), num_shards)
-    assignment: Dict[object, int] = {}
-    cursor = 0
-    for shard in range(num_shards):
-        width = base + (1 if shard < remainder else 0)
-        for item in items[cursor : cursor + width]:
-            assignment[item] = shard
-        cursor += width
-    return assignment
-
-
-SHARD_POLICIES: Dict[str, Callable[[Sequence[object], int], Dict[object, int]]] = {
-    "hash": hash_shard_assignment,
-    "range": range_shard_assignment,
-}
 
 
 def rendezvous_order(item: object, members: Collection[int]) -> tuple:

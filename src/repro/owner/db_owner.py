@@ -57,21 +57,22 @@ class DBOwner:
         cloud: Optional[CloudServer] = None,
         permutation_seed: Optional[int] = None,
         num_clouds: Optional[int] = None,
-        shard_policy: str = "hash",
         replication_factor: int = 1,
         storage_backend: str = "memory",
         storage_dir: Optional[str] = None,
     ):
         """``num_clouds`` (≥2) outsources every attribute to a sharded
         :class:`MultiCloud` fleet of that size in addition to the reference
-        server, unlocking ``execute_workload(..., placement="sharded")``;
-        ``shard_policy`` picks how bins map to members (``"hash"`` or
-        ``"range"``).  ``replication_factor`` (≥1, at most
-        ``num_clouds - 1``) stores each sensitive bin's slice on that many
-        members so sharded execution survives member failures; replica
-        placement respects the non-collusion rules (a bin's replica never
-        lands on a member serving its paired cleartext traffic)."""
-        self.relation = relation
+        server, unlocking ``execute_workload(..., placement="sharded")``.
+        ``replication_factor`` (≥1, at most ``num_clouds - 1``) stores each
+        sensitive bin's slice on that many members so sharded execution
+        survives member failures; replica placement respects the
+        non-collusion rules (a bin's replica never lands on a member serving
+        its paired cleartext traffic).
+
+        The owner keeps ``relation``'s schema and its partition, not the
+        relation itself."""
+        self.schema = relation.schema
         self.policy = policy
         self.keystore = keystore or KeyStore()
         #: every cloud-side store this owner creates — the reference server,
@@ -85,7 +86,6 @@ class DBOwner:
         self._scheme_factory = scheme_factory
         self._permutation_seed = permutation_seed
         self._num_clouds = num_clouds
-        self._shard_policy = shard_policy
         self._replication_factor = replication_factor
         self.partition: PartitionResult = partition_relation(relation, policy)
         self._engines: Dict[str, QueryBinningEngine] = {}
@@ -163,7 +163,6 @@ class DBOwner:
             add_fake_tuples=add_fake_tuples,
             rng=rng,
             multi_cloud=multi_cloud,
-            shard_policy=self._shard_policy,
             replication_factor=self._replication_factor,
         )
         engine.setup()
@@ -266,7 +265,7 @@ class DBOwner:
         """Refuse a row that does not match the relation's schema, or that
         the partition would refuse."""
         for values in rows:
-            self.relation.schema.validate_row(values)
+            self.schema.validate_row(values)
             self.partition.check(values)
 
     # -- lifecycle ------------------------------------------------------------------
@@ -309,7 +308,7 @@ class DBOwner:
 
     # -- introspection -----------------------------------------------------------------
     def searchable_attributes(self) -> Tuple[str, ...]:
-        return self.relation.schema.searchable_names
+        return self.schema.searchable_names
 
     def metadata_size_bytes(self) -> int:
         """Total owner-side metadata footprint across outsourced attributes."""

@@ -37,21 +37,6 @@ def group_rows_by_value(rows: Iterable[Row], attribute: str) -> Dict[object, Lis
     return grouped
 
 
-def merge_grouped(
-    query: SelectionQuery,
-    grouped_sensitive: Dict[object, List[Row]],
-    grouped_non_sensitive: Dict[object, List[Row]],
-) -> List[Row]:
-    """:func:`merge_results` over pre-grouped bins (see
-    :func:`group_rows_by_value`); observably identical, O(result) per query
-    instead of O(bin)."""
-    merged = union_rows(
-        grouped_sensitive.get(query.value, []),
-        grouped_non_sensitive.get(query.value, []),
-    )
-    return project_rows(merged, query.projection)
-
-
 def project_rows(rows: Iterable[Row], projection: Optional[Sequence[str]]) -> List[Row]:
     """Apply the query's projection, if any."""
     if projection is None:

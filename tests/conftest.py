@@ -155,7 +155,6 @@ class ExecutionParityHarness:
         dataset,
         scheme_factory: Callable[..., object],
         num_shards: int = 3,
-        shard_policy: str = "hash",
         use_encrypted_indexes: bool = True,
         permutation_seed: int = 17,
         key_phrase: str = "parity-key",
@@ -169,7 +168,6 @@ class ExecutionParityHarness:
         self.dataset = dataset
         self.scheme_factory = scheme_factory
         self.num_shards = num_shards
-        self.shard_policy = shard_policy
         self.use_encrypted_indexes = use_encrypted_indexes
         self.permutation_seed = permutation_seed
         self.key_phrase = key_phrase
@@ -208,7 +206,6 @@ class ExecutionParityHarness:
                 if sharded
                 else None
             ),
-            shard_policy=self.shard_policy,
             replication_factor=self.replication_factor,
         )
         if engine.multi_cloud is not None:

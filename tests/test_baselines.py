@@ -46,6 +46,17 @@ class TestFullEncryptionBaseline:
                 query_count * len(small_relation)
             )
 
+    def test_relation_is_stored_as_one_unbinned_slice(self, small_relation):
+        """Without binning every row is stored under ``None``, in relation
+        order, which is the slice a request naming no bin scans."""
+        baseline = FullEncryptionBaseline(
+            small_relation, "key", NonDeterministicScheme()
+        ).setup()
+        assert baseline.cloud.stored_sensitive_bins() == {None: len(small_relation)}
+        [(bin_index, rows)] = baseline.cloud.sensitive_slice([None]).items()
+        assert bin_index is None
+        assert [row.rid for row in rows] == [row.rid for row in small_relation.rows]
+
     def test_modelled_cost_scales_with_relation_size(self, small_relation):
         small = FullEncryptionBaseline(
             small_relation, "key", NonDeterministicScheme()
@@ -117,6 +128,13 @@ class TestDeterministicStoreBaseline:
         }
         outcome = baseline.run_frequency_attack()
         assert outcome.succeeded
+
+    def test_relation_is_stored_as_one_unbinned_slice(self, small_relation):
+        baseline = DeterministicStoreBaseline(small_relation, "key").setup()
+        assert baseline.cloud.stored_sensitive_bins() == {None: len(small_relation)}
+        [(bin_index, rows)] = baseline.cloud.sensitive_slice([None]).items()
+        assert bin_index is None
+        assert [row.rid for row in rows] == [row.rid for row in small_relation.rows]
 
     def test_requires_setup(self, small_relation):
         baseline = DeterministicStoreBaseline(small_relation, "key")

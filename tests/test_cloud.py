@@ -27,9 +27,7 @@ def sharded_fleet(count=2):
     encrypted = scheme.encrypt_rows(list(relation.rows)[:4], "key")
     router = ShardRouter(1, 1, count)
     fleet = MultiCloud(count=count)
-    fleet.outsource_sharded(
-        "key", relation, encrypted, scheme, {row.rid: 0 for row in encrypted}, router
-    )
+    fleet.outsource_sharded("key", relation, {0: encrypted}, scheme, router)
     request = BatchRequest(
         attribute="key",
         cleartext_values=("k0",),
@@ -107,7 +105,7 @@ class TestCloudServer:
         encrypted = scheme.encrypt_rows(list(relation.rows)[:4], "key")
         server = CloudServer()
         server.store_non_sensitive(relation)
-        server.store_sensitive(encrypted, scheme)
+        server.store_sensitive({None: encrypted}, scheme)
         return server, scheme
 
     def test_requires_outsourcing_before_queries(self):
@@ -151,7 +149,7 @@ class TestCloudServer:
         server, scheme = self._stored_server()
         before = server.encrypted_row_count
         more = scheme.encrypt_rows(list(keyed_relation().rows)[:2], "key")
-        server.append_sensitive(more)
+        server.append_sensitive({None: more})
         assert server.encrypted_row_count == before + 2
         row = server.non_sensitive_relation.insert({"key": "k7", "payload": "x"})
         server.register_non_sensitive_row(row)
@@ -202,7 +200,7 @@ class TestMultiCloud:
         wrong_size = ShardRouter(1, 1, 2)
         with pytest.raises(CloudError):
             fleet.outsource_sharded(
-                "key", keyed_relation(), [], NonDeterministicScheme(), {}, wrong_size
+                "key", keyed_relation(), {}, NonDeterministicScheme(), wrong_size
             )
         with pytest.raises(CloudError):
             fleet.process_batch(

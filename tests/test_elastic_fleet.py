@@ -196,15 +196,16 @@ class TestSlicePrimitives:
         assert stored, "member 0 should hold at least one bin slice"
         target_bin = sorted(b for b in stored if b is not None)[0]
 
-        rows, assignment = server.sensitive_slice([target_bin])
+        slices = server.sensitive_slice([target_bin])
+        assert list(slices) == [target_bin]
+        rows = slices[target_bin]
         assert len(rows) == stored[target_bin]
-        assert set(assignment.values()) == {target_bin}
 
         dropped = server.drop_sensitive_bins([target_bin])
         assert dropped == len(rows)
         assert target_bin not in server.stored_sensitive_bins()
 
-        server.receive_migrated_slice(rows, bin_assignment=assignment)
+        server.receive_migrated_slice(slices)
         assert server.stored_sensitive_bins()[target_bin] == len(rows)
 
         # migration traffic is charged to its own directions, never download

@@ -163,6 +163,19 @@ class TestNaiveEngine:
         view = engine.cloud.view_log.views[0]
         assert view.non_sensitive_request == ("E259",)
 
+    def test_naive_stores_sensitive_rows_as_one_unbinned_slice(self, employee_split):
+        """The naive engine ships no bins: its sensitive rows form the one
+        slice stored under ``None``, in partition order."""
+        engine = NaivePartitionedEngine(
+            partition=employee_split,
+            attribute="EId",
+            scheme=NonDeterministicScheme(),
+            cloud=CloudServer(),
+        ).setup()
+        sensitive = [row.rid for row in employee_split.sensitive.rows]
+        assert engine.cloud.stored_sensitive_bins() == {None: len(sensitive)}
+        assert [row.rid for row in engine.cloud.stored_encrypted_rows] == sensitive
+
     def test_naive_requires_setup(self, employee_split):
         engine = NaivePartitionedEngine(
             partition=employee_split, attribute="EId", scheme=NonDeterministicScheme()

@@ -72,14 +72,11 @@ class TestCrossStrategyParity:
 
 
 class TestShardedAcrossConfigurations:
-    """Parity holds regardless of fleet size, policy, or index configuration."""
+    """Parity holds regardless of fleet size or index configuration."""
 
     @pytest.mark.parametrize("num_shards", [2, 5])
-    @pytest.mark.parametrize("shard_policy", ["hash", "range"])
-    def test_fleet_shape_is_unobservable(self, parity_harness, num_shards, shard_policy):
-        harness = parity_harness(
-            DeterministicScheme, num_shards=num_shards, shard_policy=shard_policy
-        )
+    def test_fleet_shape_is_unobservable(self, parity_harness, num_shards):
+        harness = parity_harness(DeterministicScheme, num_shards=num_shards)
         workload = harness.workload(repeats=1)
         runs = {p: harness.run(p, workload) for p in ("sequential", "sharded")}
         harness.assert_identical_results(runs)

@@ -1,11 +1,15 @@
 """Tests for the DB-owner façade and key store."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.crypto.deterministic import DeterministicScheme
 from repro.exceptions import ConfigurationError
 from repro.owner.db_owner import DBOwner
 from repro.owner.keystore import KeyStore
+from repro.service.tenants import TenantRegistry
 from repro.workloads.employee import build_employee_relation, employee_policy
 
 
@@ -112,3 +116,43 @@ class TestDBOwner:
         owner.outsource("EId")
         rows, trace = owner.query_with_trace("EId", "E259")
         assert trace.rows_after_merge == len(rows) == 2
+
+
+class TestOwnerKeepsOnlyItsPartition:
+    """The owner keeps the partition and the relation's schema; the input
+    relation's rows are garbage once the caller drops the relation."""
+
+    @staticmethod
+    def _relation_and_refs():
+        relation = build_employee_relation()
+        refs = [weakref.ref(row) for row in relation.rows[:4]]
+        assert all(ref() is not None for ref in refs)
+        return relation, refs
+
+    def test_plain_owner(self):
+        relation, refs = self._relation_and_refs()
+        owner = DBOwner(relation, employee_policy(), permutation_seed=7)
+        owner.outsource("EId")
+        del relation
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert not hasattr(owner, "relation")
+        assert [row["LastName"] for row in owner.query("EId", "E259")] == [
+            "Williams",
+            "Williams",
+        ]
+
+    def test_provisioned_tenant(self):
+        relation, refs = self._relation_and_refs()
+        registry = TenantRegistry()
+        try:
+            session = registry.provision(
+                "acme", relation, employee_policy(), attributes=("EId",),
+                permutation_seed=7,
+            )
+            del relation
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert len(session.owner.query("EId", "E259")) == 2
+        finally:
+            registry.close_all()

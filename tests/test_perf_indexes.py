@@ -105,7 +105,9 @@ class TestIndexedLinearParity:
     def test_every_scheme_store_grouped_by_bin(self, dataset):
         for name, factory in SCHEMES.items():
             engine = build_engine(dataset, factory, True)
-            store = engine.cloud._bin_store
+            store = engine.cloud.storage.slice_bins(
+                range(engine.layout.num_sensitive_bins)
+            )
             assert store, name
             assert sum(len(rows) for rows in store.values()) == (
                 engine.cloud.encrypted_row_count
@@ -122,7 +124,7 @@ class TestIndexedLinearParity:
             view.sensitive_request_size for view in engine.cloud.view_log
         ]
         assert per_query  # sanity: sensitive requests happened
-        store = engine.cloud._bin_store
+        store = engine.cloud.storage.slice_bins(range(engine.layout.num_sensitive_bins))
         largest_bin = max(len(rows) for rows in store.values())
         assert largest_bin < total
         # every response examined at most one bin's rows
@@ -318,6 +320,6 @@ class TestCloudHotPathFixes:
         snapshot = server.stored_encrypted_rows
         template = next(iter(engine.partition.sensitive.rows))
         extra = engine.scheme.encrypt_rows([template], engine.attribute)
-        server.append_sensitive(extra)
+        server.append_sensitive({None: extra})
         refreshed = server.stored_encrypted_rows
         assert len(refreshed) == len(snapshot) + 1

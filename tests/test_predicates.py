@@ -7,7 +7,6 @@ from repro.exceptions import QueryError
 from repro.query.merge import (
     filter_rows,
     group_rows_by_value,
-    merge_grouped,
     merge_results,
     project_rows,
 )
@@ -136,15 +135,3 @@ class TestMerge:
         for value in ("a", "b", "c", "missing"):
             query = SelectionQuery("id", value)
             assert grouped.get(value, []) == filter_rows(rows, query)
-
-    def test_merge_grouped_is_identical_to_merge_results(self):
-        sensitive = [row(rid=1, id="a"), row(rid=2, id="z"), row(rid=6, id="a")]
-        non_sensitive = [row(rid=3, id="a"), row(rid=1, id="a"), row(rid=4, id="b")]
-        grouped_s = group_rows_by_value(sensitive, "id")
-        grouped_ns = group_rows_by_value(non_sensitive, "id")
-        for value in ("a", "b", "z", "missing"):
-            for projection in (None, ("id",)):
-                query = SelectionQuery("id", value, projection=projection)
-                assert merge_grouped(query, grouped_s, grouped_ns) == (
-                    merge_results(query, sensitive, non_sensitive)
-                )

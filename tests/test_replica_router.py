@@ -7,10 +7,11 @@ strengthened to a *set-level* invariant: for every sensitive bin, the set of
 members that may ever hold or serve its token half (primary plus replicas)
 is disjoint from the set of members that may ever serve its paired cleartext
 traffic (preferred placement plus every failover candidate).  This file
-proves that exhaustively over a grid of fleet shapes, replication factors,
-and policies, pins replica determinism under rebuild/rebalance (the PR 2
-coverage gap around ``rebalanced`` + ``reset_observations``), and checks the
-replicated storage layer actually materialises the router's promises.
+proves that exhaustively over a grid of fleet shapes, replication factors
+and membership views (every slot live, or one slot lost), pins replica
+determinism under rebuild/rebalance (the unreplicated router's coverage gap
+around ``rebalanced`` + ``reset_observations``), and checks the replicated
+storage layer actually materialises the router's promises.
 """
 
 import random
@@ -28,8 +29,6 @@ from repro.exceptions import CloudError, PartitioningError
 
 pytestmark = [pytest.mark.multicloud, pytest.mark.faults]
 
-POLICIES = ["hash", "range"]
-
 #: (num_servers, replication_factor) — every combination with at least one
 #: cleartext-capable member left over, including the k = n - 1 extreme where
 #: the cleartext segment shrinks to a single member.
@@ -42,6 +41,31 @@ FLEET_GRID = [
 
 #: (sensitive bins, non-sensitive bins) layout shapes for the grid sweep.
 BIN_SHAPES = [(5, 7), (12, 12), (2, 9)]
+
+#: Membership views the grid is swept over: all slots live, and the view
+#: the fleet lifecycle installs after losing one member of a fleet one slot
+#: larger (``with_membership``), so both route over ``num_servers`` live
+#: members.  Slot 0 is the one lost, because requests and rows without a
+#: sensitive bin anchor there.
+MEMBERSHIPS = ["full", "slot-0-lost"]
+
+
+def _router(sensitive_bins, non_sensitive_bins, fleet, membership):
+    """A router over ``fleet = (live members, k)`` in ``membership``'s view."""
+    num_servers, replication_factor = fleet
+    if membership == "full":
+        return ShardRouter(
+            sensitive_bins,
+            non_sensitive_bins,
+            num_servers,
+            replication_factor=replication_factor,
+        )
+    return ShardRouter(
+        sensitive_bins,
+        non_sensitive_bins,
+        num_servers + 1,
+        replication_factor=replication_factor,
+    ).with_membership(range(1, num_servers + 1))
 
 
 def _request(sensitive_bin, non_sensitive_bin):
@@ -56,18 +80,22 @@ def _request(sensitive_bin, non_sensitive_bin):
 
 class TestReplicaChains:
     @pytest.mark.parametrize("fleet", FLEET_GRID)
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_replicas_are_distinct_primary_first(self, fleet, policy):
+    @pytest.mark.parametrize("membership", MEMBERSHIPS)
+    def test_replicas_are_distinct_primary_first(self, fleet, membership):
         num_servers, replication_factor = fleet
-        router = ShardRouter(
-            8, 8, num_servers, policy=policy, replication_factor=replication_factor
-        )
+        router = _router(8, 8, fleet, membership)
         for bin_index in range(8):
             chain = router.replicas_of_sensitive(bin_index)
             assert len(chain) == replication_factor
             assert len(set(chain)) == replication_factor
-            assert chain[0] == router.shard_of_sensitive(bin_index)
-            assert all(0 <= member < num_servers for member in chain)
+            primary = router.shard_of_sensitive(bin_index)
+            if primary in router.live_members:
+                assert chain[0] == primary
+            else:
+                # a lost primary's chain starts at its ring successor
+                assert chain[0] == (primary + 1) % router.num_shards
+            assert set(chain) <= router.live_members
+            assert len(router.live_members) == num_servers
 
     def test_replica_chain_is_the_ring_successors(self):
         assert replica_chain(2, 5, 3) == (2, 3, 4)
@@ -86,22 +114,16 @@ class TestExhaustiveNonCollusion:
 
     @pytest.mark.parametrize("shape", BIN_SHAPES)
     @pytest.mark.parametrize("fleet", FLEET_GRID)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("membership", MEMBERSHIPS)
     def test_no_member_holds_token_slice_and_paired_cleartext(
-        self, shape, fleet, policy
+        self, shape, fleet, membership
     ):
         """For every bin pair, *every* candidate the router could ever pick
         for the cleartext half — preferred or failover — avoids *every*
         member holding the sensitive bin's slice (primary or replica)."""
         sensitive_bins, non_sensitive_bins = shape
         num_servers, replication_factor = fleet
-        router = ShardRouter(
-            sensitive_bins,
-            non_sensitive_bins,
-            num_servers,
-            policy=policy,
-            replication_factor=replication_factor,
-        )
+        router = _router(sensitive_bins, non_sensitive_bins, fleet, membership)
         for sensitive_bin in range(sensitive_bins):
             token_members = set(router.replicas_of_sensitive(sensitive_bin))
             anchor = router.shard_of_sensitive(sensitive_bin)
@@ -109,20 +131,20 @@ class TestExhaustiveNonCollusion:
                 candidates = router.cleartext_candidates(non_sensitive_bin, anchor)
                 # the full failover chain covers the whole cleartext segment
                 assert len(set(candidates)) == num_servers - replication_factor
+                assert set(candidates) <= router.live_members
                 overlap = token_members & set(candidates)
                 assert not overlap, (
                     f"pair ({sensitive_bin}, {non_sensitive_bin}) can co-locate "
-                    f"on members {sorted(overlap)} under {policy} with "
+                    f"on members {sorted(overlap)} with "
                     f"{num_servers} servers, k={replication_factor}"
                 )
 
     @pytest.mark.parametrize("fleet", FLEET_GRID)
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_route_candidates_agree_with_route_and_stay_disjoint(self, fleet, policy):
-        num_servers, replication_factor = fleet
-        router = ShardRouter(
-            6, 6, num_servers, policy=policy, replication_factor=replication_factor
-        )
+    @pytest.mark.parametrize("membership", MEMBERSHIPS)
+    def test_route_candidates_agree_with_route_and_stay_disjoint(
+        self, fleet, membership
+    ):
+        router = _router(6, 6, fleet, membership)
         for sensitive_bin in range(6):
             for non_sensitive_bin in range(6):
                 request = _request(sensitive_bin, non_sensitive_bin)
@@ -134,11 +156,11 @@ class TestExhaustiveNonCollusion:
                 )
                 assert not set(sensitive_candidates) & set(cleartext_candidates)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_unknown_bins_keep_the_invariant(self, policy):
+    @pytest.mark.parametrize("membership", MEMBERSHIPS)
+    def test_unknown_bins_keep_the_invariant(self, membership):
         """Bins born after the router (incremental re-binning) fall back to
         hash placement but must honour the same segment split."""
-        router = ShardRouter(4, 4, 5, policy=policy, replication_factor=2)
+        router = _router(4, 4, (5, 2), membership)
         for sensitive_bin in range(4, 30):
             token_members = set(router.replicas_of_sensitive(sensitive_bin))
             anchor = router.shard_of_sensitive(sensitive_bin)
@@ -177,20 +199,18 @@ class TestReplicationDefaults:
 class TestRebalanceRegression:
     """The PR 2 coverage gap: ``rebalanced`` after member join/leave."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_rebalanced_preserves_replication_and_is_deterministic(self, policy):
-        router = ShardRouter(10, 8, 4, policy=policy, replication_factor=2)
+    def test_rebalanced_preserves_replication_and_is_deterministic(self):
+        router = ShardRouter(10, 8, 4, replication_factor=2)
         grown = router.rebalanced(6)
         assert grown.replication_factor == 2
-        fresh = ShardRouter(10, 8, 6, policy=policy, replication_factor=2)
+        fresh = ShardRouter(10, 8, 6, replication_factor=2)
         assert grown.replica_assignment() == fresh.replica_assignment()
         # shrinking back (member leave) reproduces the original chains
         shrunk = grown.rebalanced(4)
         assert shrunk.replica_assignment() == router.replica_assignment()
-        # an explicit override changes k without touching the policy
+        # an explicit override changes k
         stronger = router.rebalanced(4, replication_factor=3)
         assert stronger.replication_factor == 3
-        assert stronger.policy == policy
 
     def test_rebalanced_to_too_small_fleet_is_rejected(self):
         router = ShardRouter(6, 6, 4, replication_factor=3)
@@ -232,7 +252,6 @@ class TestRebalanceRegression:
             engine.layout.num_sensitive_bins,
             engine.layout.num_non_sensitive_bins,
             4,
-            policy=engine.shard_policy,
             replication_factor=2,
         )
         assert rebuilt.replica_assignment() == fresh.replica_assignment()
@@ -290,9 +309,8 @@ class TestReplicatedStorage:
         for bin_index in range(engine.layout.num_sensitive_bins):
             slices = []
             for member in router.replicas_of_sensitive(bin_index):
-                store = engine.multi_cloud[member]._bin_store
-                assert store is not None
-                slices.append([row.rid for row in store.get(bin_index, [])])
+                stored = engine.multi_cloud[member].storage.slice_bins([bin_index])
+                slices.append([row.rid for row in stored.get(bin_index, [])])
             assert slices[0], f"bin {bin_index} stored nowhere"
             assert all(current == slices[0] for current in slices[1:])
 

@@ -27,6 +27,8 @@ from repro.cloud.storage import (
     MemoryBackend,
     SQLiteBackend,
     make_storage_backend,
+    slice_rows,
+    storage_order,
 )
 from repro.crypto.arx_index import ArxIndexScheme
 from repro.crypto.base import EncryptedRow
@@ -65,18 +67,34 @@ def synthetic_rows(count: int, start_rid: int = 0) -> list:
     ]
 
 
+def by_bin(rows, place=lambda rid: rid % 3) -> dict:
+    """``rows`` as a slice map: each row under ``place(rid)``, in row order."""
+    slices: dict = {}
+    for row in rows:
+        slices.setdefault(place(row.rid), []).append(row)
+    return slices
+
+
 def assert_backend_parity(memory, sqlite, bins) -> None:
-    """Every read surface of the two backends agrees."""
+    """Every read surface of the two backends agrees, in storage order."""
     assert memory.row_count() == sqlite.row_count()
     assert list(memory.all_rows()) == list(sqlite.all_rows())
     assert memory.bin_counts() == sqlite.bin_counts()
-    assert memory.bin_store_view() == sqlite.bin_store_view()
     for bin_index in bins:
         assert list(memory.bin_candidates(bin_index)) == list(
             sqlite.bin_candidates(bin_index)
         )
     for probe in (list(bins), [None], list(bins) + [None], []):
-        assert memory.slice_bins(probe) == sqlite.slice_bins(probe)
+        assert list(memory.slice_bins(probe).items()) == list(
+            sqlite.slice_bins(probe).items()
+        )
+    # the full read is every slice, concatenated in storage order
+    for backend in (memory, sqlite):
+        everything = backend.slice_bins(backend.bin_counts())
+        assert list(everything) == storage_order(everything)
+        assert list(backend.all_rows()) == [
+            row for rows in everything.values() for row in rows
+        ]
 
 
 @pytest.fixture
@@ -87,45 +105,41 @@ def backend_pair():
 
 
 class TestBackendUnitParity:
-    def assignment_for(self, rows, shape: str, num_bins: int = 3):
+    def place_for(self, shape: str, num_bins: int = 3):
         """rid → bin for every row (``full``), for all but every 4th row
-        (``holes``), or no assignment at all (``none``)."""
+        (``holes``, the rest under ``None``), or ``None`` for every row
+        (``none``)."""
         if shape == "none":
-            return None
-        return {
-            row.rid: row.rid % num_bins
-            for row in rows
-            if shape == "full" or row.rid % 4 != 0
-        }
+            return lambda rid: None
+        return lambda rid: (
+            rid % num_bins if shape == "full" or rid % 4 != 0 else None
+        )
 
     @pytest.mark.parametrize("shape", ["full", "holes", "none"])
     def test_reset_append_slice_drop_script(self, backend_pair, shape):
         memory, sqlite = backend_pair
+        place = self.place_for(shape)
         base = synthetic_rows(20)
-        assignment = self.assignment_for(base, shape)
         for backend in (memory, sqlite):
-            backend.reset(base, assignment)
+            backend.reset(by_bin(base, place))
         assert_backend_parity(memory, sqlite, bins=range(4))
-        if assignment is None:
-            # a store outsourced without an assignment places no row, so
-            # every bin slice is empty and only the linear scan reads them
+        if shape == "none":
+            # a store outsourced without bins places no row, so every bin
+            # slice is empty and only the linear scan reads them
             for backend in (memory, sqlite):
                 assert list(backend.bin_candidates(0)) == []
                 assert backend.bin_counts() == {None: len(base)}
 
-        # append a second batch; with holes, one appended row stays without
-        # a bin, and an assignment for a row stored earlier does not move it
+        # append a second batch; with holes, one appended row stays
+        # without a bin
         extra = synthetic_rows(8, start_rid=100)
-        late = self.assignment_for(extra, shape)
-        if shape == "holes":
-            late[0] = 2  # base rid 0 was stored without a bin
         for backend in (memory, sqlite):
-            backend.append(extra, late)
+            backend.append(by_bin(extra, place))
         assert_backend_parity(memory, sqlite, bins=range(4))
         if shape == "holes":
             for backend in (memory, sqlite):
                 assert 0 not in {row.rid for row in backend.bin_candidates(2)}
-                assert 0 in {row.rid for row in backend.slice_bins([None])[0]}
+                assert 0 in {row.rid for row in backend.slice_bins([None])[None]}
 
         # drop one bin plus the rows stored without one, then a no-op drop
         dropped_memory = memory.drop_bins([1, None])
@@ -139,29 +153,79 @@ class TestBackendUnitParity:
         """A bin read returns exactly the bin's slice; rows stored without a
         bin are read only by the linear scan."""
         rows = synthetic_rows(12)
-        # rids 0, 4 and 8 are stored without a bin
-        assignment = {row.rid: row.rid % 3 for row in rows if row.rid % 4}
+
+        def place(rid):  # rids 0, 4 and 8 are stored without a bin
+            return rid % 3 if rid % 4 else None
+
         extra = synthetic_rows(4, start_rid=100)
         for backend in backend_pair:
-            backend.reset(rows, assignment)
-            backend.append(extra, {100: 1, 102: 1})
+            backend.reset(by_bin(rows, place))
+            backend.append({1: [extra[0], extra[2]], None: [extra[1], extra[3]]})
             for bin_index in range(3):
                 assert [row.rid for row in backend.bin_candidates(bin_index)] == [
-                    rid for rid in sorted(assignment) if assignment[rid] == bin_index
+                    row.rid for row in rows if place(row.rid) == bin_index
                 ] + ([100, 102] if bin_index == 1 else [])
-            assert list(backend.all_rows()) == rows + extra
+            # storage order: the rows without a bin, then bins ascending
+            assert [row.rid for row in backend.all_rows()] == (
+                [0, 4, 8, 101, 103] + [3, 6, 9] + [1, 7, 10, 100, 102] + [2, 5, 11]
+            )
             assert backend.bin_counts()[None] == 5
         assert_backend_parity(*backend_pair, bins=range(3))
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_storage_order_through_reset_append_migration_and_drop(self, kind):
+        """Storage order is defined once — rows without a bin first, then
+        bins ascending, append order inside each bin — and holds through
+        every mutation, whatever key order the slice maps arrive in."""
+        backend = make_storage_backend(kind)
+        peer = make_storage_backend("sqlite" if kind == "memory" else "memory")
+        a, b, c, d, e, f, g = synthetic_rows(7)
+        try:
+            shared = [a, b]
+            backend.reset({2: shared, None: [c], 0: [d]})
+            # the store copies what it is handed: a replica chain shares one
+            # list between members
+            shared.append(g)
+            assert list(backend.all_rows()) == [c, d, a, b]
+            backend.append({0: [e], None: [f], 3: [g]})
+            assert list(backend.all_rows()) == [c, f, d, e, a, b, g]
+            assert list(backend.slice_bins([3, None, 0]).items()) == [
+                (None, [c, f]),
+                (0, [d, e]),
+                (3, [g]),
+            ]
+            assert list(backend.bin_candidates(0)) == [d, e]
+
+            # migration round trip: the slices a member ships re-create the
+            # same store on a peer of the other kind, and dropping them and
+            # taking them back leaves the store as it was
+            everything = backend.slice_bins([None, 0, 2, 3])
+            peer.reset(everything)
+            assert list(peer.all_rows()) == list(backend.all_rows())
+            moved = backend.slice_bins([0, None])
+            assert backend.drop_bins([0, None]) == 4
+            backend.append(moved)
+            assert list(backend.all_rows()) == [c, f, d, e, a, b, g]
+
+            # a drop pops whole slices, and the rest keep their order
+            assert backend.drop_bins([2, None]) == 4
+            assert list(backend.all_rows()) == [d, e, g]
+            assert backend.bin_counts() == {0: 2, 3: 1}
+            assert backend.row_count() == 3
+        finally:
+            backend.close()
+            peer.close()
 
     def test_sqlite_transaction_rolls_back_atomically(self, backend_pair):
         memory, sqlite = backend_pair
         rows = synthetic_rows(5)
         for backend in (memory, sqlite):
-            backend.reset(rows, None)
+            backend.reset({None: rows})
         before = list(sqlite.all_rows())
         with pytest.raises(RuntimeError):
             with sqlite.transaction():
-                sqlite.append(synthetic_rows(3, start_rid=200), {200: 1})
+                late = synthetic_rows(3, start_rid=200)
+                sqlite.append({1: late[:1], None: late[1:]})
                 raise RuntimeError("mid-mutation crash")
         # tables *and* the Python-side counters rolled back together
         assert sqlite.all_rows() == before
@@ -169,8 +233,47 @@ class TestBackendUnitParity:
         assert sqlite.bin_counts() == {None: 5}
         # the next append lands at the positions the rollback released
         for backend in (memory, sqlite):
-            backend.append(synthetic_rows(2, start_rid=300), None)
+            backend.append({None: synthetic_rows(2, start_rid=300)})
         assert_backend_parity(memory, sqlite, bins=range(3))
+
+
+class TestMemoryBackendLayout:
+    @staticmethod
+    def _row_lists(value) -> list:
+        """Every sequence of rows reachable from ``value`` through dicts."""
+        if isinstance(value, dict):
+            return [found for item in value.values() for found in
+                    TestMemoryBackendLayout._row_lists(item)]
+        if isinstance(value, (list, tuple)) and any(
+            isinstance(item, EncryptedRow) for item in value
+        ):
+            return [value]
+        return []
+
+    def test_each_stored_row_is_held_once_in_its_slice(self):
+        """The memory store keeps no row list beside its slices: after a
+        reset and two appends, each stored row sits in exactly one list,
+        the one its bin reads."""
+        backend = MemoryBackend()
+        rows = synthetic_rows(12)
+        backend.reset(by_bin(rows[:6]))
+        backend.append(by_bin(rows[6:9], place=lambda rid: None))
+        backend.append({1: rows[9:]})
+        held = [
+            found
+            for value in vars(backend).values()
+            for found in self._row_lists(value)
+        ]
+        assert sorted(id(row) for found in held for row in found) == sorted(
+            id(row) for row in rows
+        )
+        slices = {
+            bin_index: backend.bin_candidates(bin_index)
+            for bin_index in backend.bin_counts()
+        }
+        assert sorted(map(id, held)) == sorted(map(id, slices.values()))
+        assert [row.rid for row in slices[None]] == [6, 7, 8]
+        assert [row.rid for row in slices[1]] == [1, 4, 9, 10, 11]
 
 
 class TestBackendLifecycle:
@@ -200,7 +303,7 @@ class TestBackendLifecycle:
     def test_sqlite_explicit_path_is_preserved(self, tmp_path):
         path = str(tmp_path / "member.sqlite3")
         backend = SQLiteBackend(path=path)
-        backend.append(synthetic_rows(3), None)
+        backend.append({None: synthetic_rows(3)})
         backend.close()
         assert os.path.exists(path)
 
@@ -235,7 +338,7 @@ def outsourced_server(storage_backend: str, scheme, num_rows: int = 12):
     encrypted = scheme.encrypt_rows(rows, "key")
     assignment = {row.rid: row.rid % 3 for row in rows}
     server = CloudServer(storage_backend=storage_backend)
-    server.store_sensitive(encrypted, scheme, assignment)
+    server.store_sensitive(by_bin(encrypted), scheme)
     return server, encrypted, assignment
 
 
@@ -244,10 +347,10 @@ class TestMutationPathInvalidation:
     def test_receive_migrated_slice_refreshes_snapshot(self, storage_backend):
         scheme = DeterministicScheme(SecretKey.from_passphrase("mutate"))
         source, _rows, _assignment = outsourced_server("memory", scheme)
-        target, _trows, _tassignment = outsourced_server(storage_backend, scheme)
+        target, _trows, assignment = outsourced_server(storage_backend, scheme)
         try:
             before = target.stored_encrypted_rows  # warm the cache
-            slice_rows, slice_assignment = source.sensitive_slice([1])
+            (moved_rows,) = source.sensitive_slice([1]).values()
             migrated = [
                 EncryptedRow(
                     rid=row.rid + 1000,
@@ -255,14 +358,13 @@ class TestMutationPathInvalidation:
                     search_tag=row.search_tag,
                     is_fake=row.is_fake,
                 )
-                for row in slice_rows
+                for row in moved_rows
             ]
-            target.receive_migrated_slice(
-                migrated,
-                {rid + 1000: bin_ for rid, bin_ in slice_assignment.items()},
-            )
+            target.receive_migrated_slice({1: migrated})
             after = target.stored_encrypted_rows
-            assert after == before + tuple(migrated)
+            # storage order: the migrated rows close bin 1's slice
+            tail = tuple(row for row in before if assignment[row.rid] == 2)
+            assert after == before[: -len(tail)] + tuple(migrated) + tail
             assert target.encrypted_row_count == len(before) + len(migrated)
             assert target.stored_sensitive_bins()[1] > source.stored_sensitive_bins()[1] - 1
         finally:
@@ -385,6 +487,33 @@ class TestMutationPathInvalidation:
 
 
 # -- execution parity across backends --------------------------------------------
+
+
+@pytest.mark.parametrize("storage_backend", STORAGE_BACKENDS)
+class TestServerSliceMaps:
+    def test_sensitive_slice_is_a_slice_map_in_storage_order(self, storage_backend):
+        """A member ships exactly the stored bins it is asked for, keyed in
+        storage order whatever order they are asked in, each slice in
+        append order; the full read is those slices concatenated."""
+        scheme = DeterministicScheme(SecretKey.from_passphrase("slices"))
+        server, encrypted, assignment = outsourced_server(storage_backend, scheme)
+        try:
+            late, unbinned = synthetic_rows(2, start_rid=500)
+            server.append_sensitive({None: [unbinned], 0: [late]})
+            slices = server.sensitive_slice([2, None, 0, 7])
+            assert list(slices) == [None, 0, 2]
+            assert slices[None] == [unbinned]
+            assert slices[0] == [
+                row for row in encrypted if assignment[row.rid] == 0
+            ] + [late]
+            assert slices[2] == [row for row in encrypted if assignment[row.rid] == 2]
+            assert server.network.total_tuples("migration-out") == slice_rows(slices)
+            everything = server.sensitive_slice(list(server.stored_sensitive_bins()))
+            assert server.stored_encrypted_rows == tuple(
+                row for rows in everything.values() for row in rows
+            )
+        finally:
+            server.close()
 
 
 def view_content(view):
@@ -581,8 +710,7 @@ class TestSQLiteThreadedAccess:
 
         backend = SQLiteBackend()
         base = synthetic_rows(30)
-        assignment = {row.rid: row.rid % 3 for row in base}
-        backend.reset(base, assignment)
+        backend.reset(by_bin(base))
         errors = []
         stop = threading.Event()
         appends, batch = 10, 5
@@ -603,8 +731,13 @@ class TestSQLiteThreadedAccess:
                     assert len(rows) in valid_counts
                     counts = backend.bin_counts()
                     assert sum(counts.values()) in valid_counts
-                    slice_rows, slice_map = backend.slice_bins([0, 1])
-                    assert {row.rid for row in slice_rows} == set(slice_map)
+                    slices = backend.slice_bins([0, 1])
+                    assert set(slices) <= {0, 1}
+                    assert all(
+                        row.rid % 3 == bin_index
+                        for bin_index, rows in slices.items()
+                        for row in rows
+                    )
             except Exception as exc:
                 errors.append(exc)
 
@@ -612,9 +745,7 @@ class TestSQLiteThreadedAccess:
             try:
                 for index in range(appends):
                     fresh = synthetic_rows(batch, start_rid=1000 + index * batch)
-                    backend.append(
-                        fresh, {row.rid: row.rid % 3 for row in fresh}
-                    )
+                    backend.append(by_bin(fresh))
             except Exception as exc:
                 errors.append(exc)
             finally:
@@ -630,10 +761,10 @@ class TestSQLiteThreadedAccess:
         assert backend.row_count() == len(base) + appends * batch
         # end state matches the same script run sequentially
         reference = SQLiteBackend()
-        reference.reset(base, assignment)
+        reference.reset(by_bin(base))
         for index in range(appends):
             fresh = synthetic_rows(batch, start_rid=1000 + index * batch)
-            reference.append(fresh, {row.rid: row.rid % 3 for row in fresh})
+            reference.append(by_bin(fresh))
         assert list(backend.all_rows()) == list(reference.all_rows())
         assert backend.bin_counts() == reference.bin_counts()
         reference.close()
@@ -643,7 +774,7 @@ class TestSQLiteThreadedAccess:
         import threading
 
         backend = SQLiteBackend()
-        backend.reset(synthetic_rows(6), None)
+        backend.reset({None: synthetic_rows(6)})
         errors = []
 
         def drop_and_refill(start_rid):
@@ -652,7 +783,7 @@ class TestSQLiteThreadedAccess:
                     # the whole read-modify-write is one critical section:
                     # no other thread's statements can land inside it
                     before = backend.row_count()
-                    backend.append(synthetic_rows(2, start_rid=start_rid), None)
+                    backend.append({None: synthetic_rows(2, start_rid=start_rid)})
                     assert backend.row_count() == before + 2
             except Exception as exc:
                 errors.append(exc)

@@ -241,7 +241,6 @@ MALFORMED_ROWS = {
 def _stored_sizes(owner):
     partition = owner.partition
     return (
-        len(owner.relation),
         len(partition.sensitive),
         len(partition.non_sensitive),
         len(partition.vertical),
